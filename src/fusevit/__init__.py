@@ -26,10 +26,8 @@ from .model import (
     ForwardResult,
     FusedSequence,
     FuseVitModel,
-    ffvt_forward,
     fuse,
     load_checkpoint,
-    plain_vit_forward,
     save_checkpoint,
 )
 from .selector import SelectionResult, head_average, maws, saws, select_per_layer
@@ -55,9 +53,9 @@ __all__ = [
     "ImageSet", "ModelConfig", "PatchEmbedding", "SelectionResult",
     "SynthDataset", "SynthSpec", "Tape", "Tensor", "TrainConfig",
     "augment", "backward", "cosine_lr", "cross_entropy", "embed",
-    "encoder_layer", "evaluate", "ffvt_forward", "finite_diff_check",
+    "encoder_layer", "evaluate", "finite_diff_check",
     "forward_collect", "fuse", "gelu", "generate_synth", "head_average",
     "layer_norm", "load_checkpoint", "matmul", "maws", "msa", "patchify",
-    "plain_vit_forward", "precision", "save_checkpoint", "saws",
+    "precision", "save_checkpoint", "saws",
     "select_per_layer", "sgd_step", "softmax", "train",
 ]

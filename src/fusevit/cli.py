@@ -2,8 +2,8 @@
 
 Subcommands: gen, train, eval, compare, inspect, gradcheck. Configuration
 precedence is defaults < JSON config file < command-line flags; every config
-field has a flag of the same name. Exit codes: 0 success, 1 usage or config
-error, 2 runtime or numeric error.
+field has a flag of the same name, generated from ``RunConfig``. Exit codes:
+0 success, 1 usage or config error, 2 runtime or numeric error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -19,23 +20,13 @@ import numpy as np
 from . import ftz
 from .data import AugmentConfig, SynthSpec, generate_synth, load_dataset, save_dataset
 from .encoder import ModelConfig
-from .errors import (
-    ConfigError,
-    FtzError,
-    FuseVitError,
-    NumericError,
-    OracleError,
-    ShapeError,
-    TapeError,
-    TraceMismatchError,
-)
+from .errors import ConfigError, FtzError, FuseVitError, ShapeError, TraceMismatchError
 from .gradcheck import format_report, run_suite
 from .model import FuseVitModel, load_checkpoint, save_checkpoint
-from .selector import write_selection_trace
+from .selector import REGISTRY, write_selection_trace
 from .tensor import Tensor, cross_entropy
 from .train import TrainConfig, evaluate, train
 
-COMPARE_VARIANTS = ("none", "saws", "maws")
 COMPARE_HEADER = "variant,test_acc,train_acc,steps"
 
 
@@ -141,36 +132,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    """``--config`` plus one flag per ``RunConfig`` field, unset by default."""
     p.add_argument("--config", metavar="PATH", help="JSON config file")
-    p.add_argument("--selector", choices=("none", "saws", "maws"))
-    p.add_argument("--k", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--heads", type=int)
-    p.add_argument("--patch", type=int)
-    p.add_argument("--image-size", dest="image_size", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--mlp-dim", dest="mlp_dim", type=int)
-    p.add_argument("--head-layers", dest="head_layers", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--momentum", type=float)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--flip", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--crop", type=int)
-    p.add_argument("--resize-to", dest="resize_to", type=int)
-    p.add_argument("--classes", type=int)
-    p.add_argument("--train-per-class", dest="train_per_class", type=int)
-    p.add_argument("--test-per-class", dest="test_per_class", type=int)
-    p.add_argument("--signal-patches", dest="signal_patches", type=int)
-    p.add_argument("--amplitude", type=float)
-    p.add_argument("--noise-std", dest="noise_std", type=float)
-    p.add_argument("--dataset", metavar="DIR")
-    p.add_argument("--out", metavar="DIR")
-    p.add_argument("--checkpoint", metavar="DIR")
-    p.add_argument("--image", metavar="FILE")
-    p.add_argument("--trace", action=argparse.BooleanOptionalAction, default=None)
+    hints = typing.get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        # the annotation is T or T | None; the flag parses a T
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        kind = next(t for t in kinds if t is not type(None))
+        if kind is bool:
+            p.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
+        elif f.name == "selector":
+            p.add_argument(flag, dest=f.name, choices=tuple(REGISTRY))
+        else:
+            p.add_argument(flag, dest=f.name, type=kind)
 
 
 def build_parser() -> _Parser:
@@ -218,10 +193,7 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def _load_dataset_checked(cfg: RunConfig):
     _require(cfg, "dataset")
-    path = Path(cfg.dataset)
-    if not (path / "manifest.json").exists():
-        raise ConfigError(f"dataset not found: no manifest.json under {path}")
-    return load_dataset(path)
+    return load_dataset(cfg.dataset)
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -302,7 +274,7 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
     """
     init_losses = []
     rows = []
-    for variant in COMPARE_VARIANTS:
+    for variant in REGISTRY:
         model_cfg = cfg.model_config(dataset.num_classes)
         model_cfg.selector = variant
         model = FuseVitModel.build(model_cfg)
@@ -378,7 +350,6 @@ _COMMANDS = {
 }
 
 _CONFIG_EXIT = (UsageError, ConfigError, ShapeError, TraceMismatchError, FtzError)
-_RUNTIME_EXIT = (NumericError, TapeError, OracleError, OSError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -390,10 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     except _CONFIG_EXIT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except _RUNTIME_EXIT as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FuseVitError as exc:
+    except (FuseVitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,10 +179,6 @@ def augment(image: np.ndarray, cfg: AugmentConfig,
     return np.ascontiguousarray(out)
 
 
-def flip_horizontal(image: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(image[:, ::-1, :])
-
-
 # ---- disk format --------------------------------------------------------------
 
 
@@ -209,19 +205,25 @@ def save_dataset(dataset: SynthDataset, directory) -> None:
 
 def load_dataset(directory) -> SynthDataset:
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no dataset manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    spec = SynthSpec(**manifest["spec"])
+    manifest = ftz.read_manifest(directory / "manifest.json", "dataset")
+    spec = ftz.build_from(SynthSpec, manifest.get("spec"), "dataset spec")
+    items = manifest.get("items")
+    if not isinstance(items, list):
+        raise ConfigError(f"dataset manifest items must be a list, got {items!r}")
     splits: dict[str, tuple[list, list]] = {"train": ([], []), "test": ([], [])}
-    for item in manifest["items"]:
+    for item in items:
+        if not isinstance(item, dict) or not isinstance(item.get("file"), str):
+            raise ConfigError(f"malformed dataset manifest item {item!r}")
         split = item.get("split", "train")
         if split not in splits:
             raise ConfigError(f"unknown split {split!r} in manifest")
+        label = item.get("label")
+        if type(label) is not int or not 0 <= label < spec.num_classes:
+            raise ConfigError(f"item {item['file']!r} has label {label!r} outside "
+                              f"[0, {spec.num_classes})")
         images, labels = splits[split]
         images.append(ftz.read(directory / item["file"]).astype(np.float32))
-        labels.append(int(item["label"]))
+        labels.append(label)
 
     def pack(split: str) -> ImageSet:
         images, labels = splits[split]

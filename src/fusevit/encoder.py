@@ -14,6 +14,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .selector import REGISTRY
 from .tensor import (
     Tensor,
     add,
@@ -31,8 +32,6 @@ from .tensor import (
 
 LN_EPS = 1e-6
 INIT_STD = 0.02
-
-SELECTORS = ("saws", "maws", "none")
 
 
 @dataclass
@@ -63,8 +62,9 @@ class ModelConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self.selector = str(self.selector).lower()
-        if self.selector not in SELECTORS:
-            raise ConfigError(f"selector must be one of {SELECTORS}, got {self.selector!r}")
+        if self.selector not in REGISTRY:
+            raise ConfigError(
+                f"selector must be one of {tuple(REGISTRY)}, got {self.selector!r}")
         if self.num_patches < 1:
             raise ConfigError(
                 f"patch size {self.patch_size} too large for "
@@ -152,13 +152,11 @@ class EncoderLayer:
 class AttentionRecord:
     """Head-averaged pre-softmax scaled score matrix of one layer.
 
-    Row/column 0 refer to the class token. ``per_head`` is populated only
-    when head capture was requested (debug dumps, averaging checks).
+    Row/column 0 refer to the class token.
     """
 
     layer_index: int
     scores: Tensor
-    per_head: list[Tensor] | None = None
 
 
 @dataclass
@@ -250,12 +248,10 @@ def embed(patches: Tensor, pe: PatchEmbedding) -> Tensor:
     return add(tokens, pe.pos)
 
 
-def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = None,
-        capture_heads: bool = False):
+def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = None):
     """Multi-head self-attention with residual; also returns score capture.
 
-    Returns ``(out, scores)`` or ``(out, scores, head_scores)`` when
-    ``capture_heads`` is set. ``scores`` is the head-averaged pre-softmax
+    Returns ``(out, scores)``. ``scores`` is the head-averaged pre-softmax
     scaled dot-product matrix, detached from the tape.
     """
     s, d = z.shape
@@ -271,7 +267,6 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
 
     head_outs = []
     score_sum = None
-    head_scores: list[Tensor] = []
     for h in range(heads):
         lo, hi = h * dh, (h + 1) * dh
         qh = slice_cols(q, lo, hi)
@@ -280,8 +275,6 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
         sh = scale(matmul(qh, transpose(kh)), inv_sqrt_dh)
         head_outs.append(matmul(softmax(sh), vh))
         score_sum = sh.data if score_sum is None else score_sum + sh.data
-        if capture_heads:
-            head_scores.append(Tensor._wrap(sh.data.copy()))
 
     merged = head_outs[0] if heads == 1 else concat_cols(head_outs)
     out = add(z, matmul(merged, layer.wo))
@@ -289,10 +282,7 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     where = f"layer {layer_index}" if layer_index is not None else "attention block"
     out.assert_finite(f"attention output of {where}")
 
-    scores = Tensor._wrap(score_sum / heads)
-    if capture_heads:
-        return out, scores, head_scores
-    return out, scores
+    return out, Tensor._wrap(score_sum / heads)
 
 
 def mlp(z: Tensor, layer: EncoderLayer) -> Tensor:
@@ -300,36 +290,26 @@ def mlp(z: Tensor, layer: EncoderLayer) -> Tensor:
     return add(matmul(hidden, layer.w2), layer.b2)
 
 
-def _block(z: Tensor, layer: EncoderLayer, heads: int, layer_index, capture_heads):
-    if capture_heads:
-        attended, scores, per_head = msa(z, layer, heads, layer_index, True)
-    else:
-        (attended, scores), per_head = msa(z, layer, heads, layer_index), None
+def _block(z: Tensor, layer: EncoderLayer, heads: int, layer_index):
+    attended, scores = msa(z, layer, heads, layer_index)
     normed = layer_norm(attended, layer.ln2_gamma, layer.ln2_beta, LN_EPS)
-    return add(attended, mlp(normed, layer)), scores, per_head
+    return add(attended, mlp(normed, layer)), scores
 
 
 def encoder_layer(z: Tensor, layer: EncoderLayer, heads: int,
                   layer_index: int | None = None):
     """Full transformer block; returns (output, attention scores)."""
-    out, scores, _ = _block(z, layer, heads, layer_index, capture_heads=False)
-    return out, scores
+    return _block(z, layer, heads, layer_index)
 
 
-def forward_collect(z0: Tensor, layers: list[EncoderLayer], heads: int,
-                    capture_heads: bool = False) -> EncoderTrace:
-    """Run layers 1..L-1, recording every hidden state and score matrix.
-
-    ``capture_heads`` additionally stores per-head score matrices on each
-    record (debug dumps, averaging checks).
-    """
+def forward_collect(z0: Tensor, layers: list[EncoderLayer], heads: int) -> EncoderTrace:
+    """Run layers 1..L-1, recording every hidden state and score matrix."""
     if not layers:
         raise ConfigError("forward_collect needs at least one encoder layer")
     trace = EncoderTrace()
     z = z0
     for i, layer in enumerate(layers, start=1):
-        z, scores, per_head = _block(z, layer, heads, i, capture_heads)
+        z, scores = _block(z, layer, heads, i)
         trace.hidden.append(z)
-        trace.attention.append(AttentionRecord(layer_index=i, scores=scores,
-                                               per_head=per_head))
+        trace.attention.append(AttentionRecord(layer_index=i, scores=scores))
     return trace

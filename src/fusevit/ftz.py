@@ -7,18 +7,21 @@ Layout, byte for byte:
 * UTF-8 JSON header ``{"dtype": "f32"|"f64", "shape": [...]}``
 * payload: row-major scalars, little-endian, f32 or f64 per the header
 
-Used for weights, dataset images, and attention dumps.
+Used for weights, dataset images, and attention dumps. Dataset and
+checkpoint directories list their FTZ files in a ``manifest.json``, read by
+``read_manifest``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import FtzError
+from .errors import ConfigError, FtzError
 
 MAGIC = b"FFVTTNSR"
 
@@ -53,10 +56,16 @@ def loads(blob: bytes) -> np.ndarray:
         header = json.loads(blob[hstart:hstart + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FtzError(f"unreadable FTZ header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FtzError(f"FTZ header must be a JSON object, got {header!r}")
     dtype_name = header.get("dtype")
     if dtype_name not in _DTYPES:
         raise FtzError(f"unknown FTZ dtype {dtype_name!r}")
-    shape = tuple(int(s) for s in header.get("shape", ()))
+    shape = header.get("shape", [])
+    if not isinstance(shape, list) or not all(
+            type(s) is int and s >= 0 for s in shape):
+        raise FtzError(f"FTZ shape must be a list of non-negative ints, got {shape!r}")
+    shape = tuple(shape)
     dtype = _DTYPES[dtype_name]
     count = int(np.prod(shape)) if shape else 1
     payload = blob[hstart + hlen:]
@@ -74,3 +83,28 @@ def write(path, array: np.ndarray) -> None:
 
 def read(path) -> np.ndarray:
     return loads(Path(path).read_bytes())
+
+
+def read_manifest(path, what: str) -> dict:
+    """The JSON object in the ``manifest.json`` of a dataset or checkpoint."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"no {what} manifest at {path}")
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{what} manifest {path} is not a JSON object")
+    return manifest
+
+
+def build_from(cls, values, what: str):
+    """Instantiate dataclass ``cls`` from a manifest entry naming exactly its fields."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {values!r}")
+    names = {f.name for f in fields(cls)}
+    unknown, missing = sorted(set(values) - names), sorted(names - set(values))
+    if unknown or missing:
+        raise ConfigError(f"{what} has unknown keys {unknown}, missing keys {missing}")
+    return cls(**values)

@@ -201,14 +201,13 @@ class FuseVitModel:
 
         if frozen_selections is not None:
             selections = frozen_selections
-            fused = fuse(trace, selections)
-        elif cfg.selector == "none":
-            selections = select_per_layer(trace, cfg.k, "none")
+        else:
+            selections = select_per_layer(trace, cfg.k, cfg.selector)
+        if frozen_selections is None and cfg.selector == "none":
             last = trace.hidden[-1]
             provenance = [(len(trace.hidden), i) for i in range(last.shape[0])]
             fused = FusedSequence(tokens=last, provenance=provenance)
         else:
-            selections = select_per_layer(trace, cfg.k, cfg.selector)
             fused = fuse(trace, selections)
 
         final_tokens, _ = encoder_layer(fused.tokens, self.layers[-1], cfg.heads,
@@ -229,15 +228,6 @@ class FuseVitModel:
     def predict_logits(self, image) -> np.ndarray:
         """Inference-only logits (never recorded on a tape)."""
         return self.forward(image).logits.data
-
-
-def ffvt_forward(image, model: FuseVitModel,
-                 frozen_selections: list[SelectionResult] | None = None) -> ForwardResult:
-    return model.forward(image, frozen_selections=frozen_selections)
-
-
-def plain_vit_forward(image, model: FuseVitModel) -> Tensor:
-    return model.plain_forward(image)
 
 
 # ---- checkpoints -------------------------------------------------------------
@@ -263,15 +253,14 @@ def save_checkpoint(model: FuseVitModel, directory) -> None:
 
 def load_checkpoint(directory) -> FuseVitModel:
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise ConfigError(f"no checkpoint manifest at {manifest_path}")
-    manifest = json.loads(manifest_path.read_text())
-    cfg = ModelConfig(**manifest["config"])
+    manifest = ftz.read_manifest(directory / "manifest.json", "checkpoint")
+    cfg = ftz.build_from(ModelConfig, manifest.get("config"), "checkpoint config")
+    files = manifest.get("params")
+    if not isinstance(files, dict):
+        raise ConfigError(f"checkpoint params must be a JSON object, got {files!r}")
     dtype = np.float64 if manifest.get("dtype") == "f64" else np.float32
     model = FuseVitModel.build(cfg, dtype)
     named = dict(model.named_parameters())
-    files = manifest["params"]
     missing = sorted(set(named) - set(files))
     extra = sorted(set(files) - set(named))
     if missing or extra:

@@ -10,7 +10,8 @@ belong to the class token:
 
 Both softmax denominators run over all N+1 entries, index 0 included; the
 class token itself is never a selection candidate. Ties break toward the
-lower index.
+lower index. ``REGISTRY`` maps every selector name, including the ``none``
+ablation control, to its function.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-
-KINDS = ("saws", "maws", "none")
 
 
 @dataclass
@@ -100,27 +99,23 @@ def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
     return SelectionResult(layer_index, chosen, [float(mutual[i]) for i in chosen])
 
 
-def select_per_layer(trace, k: int, kind: str) -> list[SelectionResult]:
-    """Apply one selector independently to every recorded layer.
+def first_k(scores, k: int, layer_index: int = 0) -> SelectionResult:
+    """Ablation control: the first k token indices with unit weights, no ranking."""
+    k = _check_k(k, _as_matrix(scores).shape[0] - 1)
+    return SelectionResult(layer_index, list(range(1, k + 1)), [1.0] * k)
 
-    ``kind`` "none" is the ablation control: the first k token indices with
-    unit weights, no ranking at all.
-    """
+
+# selector name -> function; the order is the arm order of ``compare``
+REGISTRY = {"none": first_k, "saws": saws, "maws": maws}
+
+
+def select_per_layer(trace, k: int, kind: str) -> list[SelectionResult]:
+    """Apply one selector independently to every recorded layer."""
     kind = str(kind).lower()
-    if kind not in KINDS:
-        raise ConfigError(f"selector kind must be one of {KINDS}, got {kind!r}")
-    results = []
-    for record in trace.attention:
-        if kind == "saws":
-            results.append(saws(record.scores, k, record.layer_index))
-        elif kind == "maws":
-            results.append(maws(record.scores, k, record.layer_index))
-        else:
-            n = _as_matrix(record.scores).shape[0] - 1
-            kk = _check_k(k, n)
-            results.append(SelectionResult(
-                record.layer_index, list(range(1, kk + 1)), [1.0] * kk))
-    return results
+    if kind not in REGISTRY:
+        raise ConfigError(f"selector kind must be one of {tuple(REGISTRY)}, got {kind!r}")
+    select = REGISTRY[kind]
+    return [select(record.scores, k, record.layer_index) for record in trace.attention]
 
 
 # ---- trace export ----------------------------------------------------------

@@ -13,7 +13,7 @@ exactly once.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -25,10 +25,6 @@ _default_dtype = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
 
 
 class precision:
@@ -114,16 +110,10 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() on tensor of shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -136,28 +126,6 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
-
-    # ---- operator sugar -------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else shift(self, float(other))
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else shift(self, -float(other))
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self) -> "Tensor":
-        return sum_all(self)
 
 
 class _Record:
@@ -275,17 +243,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), rule)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"sub shape mismatch: {a.shape} - {b.shape}")
-    out = Tensor._wrap(a.data - b.data)
-
-    def rule(g):
-        return g, -g
-
-    return _finish(out, (a, b), rule)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
@@ -303,15 +260,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def rule(g):
         return (g * c,)
-
-    return _finish(out, (a,), rule)
-
-
-def shift(a: Tensor, c: float) -> Tensor:
-    out = Tensor._wrap(a.data + float(c))
-
-    def rule(g):
-        return (g,)
 
     return _finish(out, (a,), rule)
 
@@ -534,23 +482,26 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
         out = f(leaf)
         tape.backward(out)
     analytic = leaf.grad.ravel() if leaf.grad is not None else np.zeros(base.size)
+    return _central_difference(lambda: eval_value(base), base.ravel(), analytic, h)
 
-    flat = base.ravel()
+
+def _central_difference(value: Callable[[], float], flat: np.ndarray,
+                        analytic: np.ndarray, h: float) -> float:
+    """Worst relative error of ``analytic`` against central differences.
+
+    ``flat`` is a flat view of the input that ``value`` reads; each coordinate
+    is moved by +h and -h in place, then restored.
+    """
     worst = 0.0
     for i in range(flat.size):
         saved = flat[i]
         flat[i] = saved + h
-        fp = eval_value(base)
+        fp = value()
         flat[i] = saved - h
-        fm = eval_value(base)
+        fm = value()
         flat[i] = saved
         numeric = (fp - fm) / (2.0 * h)
         a = float(analytic[i])
         denom = max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, abs(a - numeric) / denom)
     return worst
-
-
-def parameters_of(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """Convenience filter: the tensors that participate in training."""
-    return [t for t in tensors if t.requires_grad]

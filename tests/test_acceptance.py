@@ -16,7 +16,7 @@ from fusevit.cli import RunConfig, run_comparison
 from fusevit.data import AugmentConfig, SynthSpec, generate_synth
 from fusevit.encoder import AttentionRecord, EncoderTrace, ModelConfig, patchify
 from fusevit.gradcheck import END_TO_END_TOL, OP_TOL, run_suite
-from fusevit.model import FuseVitModel, ffvt_forward, fuse, plain_vit_forward
+from fusevit.model import FuseVitModel, fuse
 from fusevit.selector import maws, saws, select_per_layer
 from fusevit.tensor import Tensor
 from fusevit.train import TrainConfig, evaluate, train
@@ -146,8 +146,8 @@ def test_criterion_baseline_equivalence():
     worst = 0.0
     for _ in range(20):
         image = rng.uniform(0.0, 1.0, (32, 32, 1))
-        fused_logits = ffvt_forward(image, model).logits.data
-        plain_logits = plain_vit_forward(image, model).data
+        fused_logits = model.forward(image).logits.data
+        plain_logits = model.plain_forward(image).data
         worst = max(worst, float(np.abs(fused_logits - plain_logits).max()))
     ok = worst < 1e-5
     report("baseline equivalence", ok, f"max |diff|={worst:.2e} over 20 inputs")

@@ -1,13 +1,16 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
+import argparse
 import json
+import shutil
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from fusevit import ftz
-from fusevit.cli import RunConfig, main
-from fusevit.selector import maws
+from fusevit.cli import RunConfig, build_parser, main
+from fusevit.selector import REGISTRY, maws
 from fusevit.errors import ConfigError
 
 
@@ -55,6 +58,44 @@ class TestRunConfig:
     def test_missing_config_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             RunConfig.from_sources("/nonexistent/cfg.json", {})
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestParser:
+    def test_every_subcommand_has_one_flag_per_config_field(self):
+        names = {f.name for f in fields(RunConfig)} | {"config"}
+        flags = {"--" + n.replace("_", "-") for n in names} | {"--no-flip", "--no-trace"}
+        assert set(subcommand_parsers()) == {
+            "gen", "train", "eval", "compare", "inspect", "gradcheck"}
+        for name, sub in subcommand_parsers().items():
+            actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            assert {o for a in actions for o in a.option_strings} == flags, name
+            assert {a.dest for a in actions} == names, name
+
+    def test_unset_flags_leave_config_file_values_alone(self):
+        args = build_parser().parse_args(["train"])
+        assert all(v is None for k, v in vars(args).items() if k != "command")
+
+    def test_flags_parse_to_field_types(self):
+        args = build_parser().parse_args(
+            ["train", "--lr", "0.25", "--mlp-dim", "16", "--out", "x", "--no-flip",
+             "--trace"])
+        assert (args.lr, args.mlp_dim, args.out) == (0.25, 16, "x")
+        assert args.flip is False and args.trace is True
+        args = build_parser().parse_args(["gen", "--flip", "--no-trace"])
+        assert args.flip is True and args.trace is False
+
+    def test_selector_choices_are_the_registry(self):
+        assert list(REGISTRY) == ["none", "saws", "maws"]
+        for name, sub in subcommand_parsers().items():
+            action = next(a for a in sub._actions if a.dest == "selector")
+            assert list(action.choices) == list(REGISTRY), name
 
 
 class TestGen:
@@ -230,3 +271,50 @@ class TestExitCodes:
 
     def test_unknown_flag_is_one(self):
         assert run_cli("gen", "--frobnicate") == 1
+
+
+def edited(change):
+    """Manifest mutation: apply ``change`` in place, then re-serialize."""
+    def mutate(manifest):
+        change(manifest)
+        return json.dumps(manifest)
+    return mutate
+
+
+BAD_MANIFESTS = {
+    "dataset-invalid-json": ("ds", lambda m: "{not json"),
+    "dataset-not-object": ("ds", lambda m: json.dumps([m])),
+    "dataset-unknown-spec-key": ("ds", edited(lambda m: m["spec"].update(colour=1))),
+    "dataset-missing-spec-key": ("ds", edited(lambda m: m["spec"].pop("noise_std"))),
+    "dataset-label-too-large": (
+        "ds", edited(lambda m: m["items"][-1].update(label=m["spec"]["num_classes"]))),
+    "dataset-label-negative": ("ds", edited(lambda m: m["items"][0].update(label=-1))),
+    "checkpoint-invalid-json": ("checkpoint", lambda m: "{not json"),
+    "checkpoint-not-object": ("checkpoint", lambda m: json.dumps([m])),
+    "checkpoint-unknown-config-key": (
+        "checkpoint", edited(lambda m: m["config"].update(colour=1))),
+    "checkpoint-missing-config-key": ("checkpoint", edited(lambda m: m["config"].pop("k"))),
+}
+
+
+class TestManifestBoundary:
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("trained")
+        ds = gen_dataset(tmp)
+        out = tmp / "run"
+        assert run_cli("train", "--dataset", str(ds), "--out", str(out),
+                       "--image-size", "16", *TINY_MODEL, *TINY_TRAIN) == 0
+        return ds, out / "checkpoint"
+
+    @pytest.mark.parametrize("case", sorted(BAD_MANIFESTS))
+    def test_eval_reports_one_error_line(self, case, trained, tmp_path, capsys):
+        ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
+        which, mutate = BAD_MANIFESTS[case]
+        manifest = tmp_path / which / "manifest.json"
+        manifest.write_text(mutate(json.loads(manifest.read_text())))
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err

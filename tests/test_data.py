@@ -9,7 +9,6 @@ from fusevit.data import (
     SynthSpec,
     augment,
     bilinear_resize,
-    flip_horizontal,
     generate_synth,
     load_dataset,
     save_dataset,
@@ -104,11 +103,6 @@ class TestBilinearResize:
 
 
 class TestAugment:
-    def test_double_flip_is_identity(self):
-        rng = np.random.default_rng(1)
-        img = rng.uniform(0, 1, (8, 8, 1)).astype(np.float32)
-        assert np.array_equal(flip_horizontal(flip_horizontal(img)), img)
-
     def test_identity_crop(self):
         rng = np.random.default_rng(2)
         img = rng.uniform(0, 1, (8, 8, 1)).astype(np.float32)

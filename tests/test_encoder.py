@@ -169,8 +169,12 @@ class TestMsa:
     def test_head_average_matches_per_head_capture(self):
         rng = np.random.default_rng(7)
         layer = make_layer(rng, 8, 16)
-        z = t64(rng.standard_normal((5, 8)))
-        _, scores, per_head = msa(z, layer, heads=4, capture_heads=True)
+        z = rng.standard_normal((5, 8))
+        _, scores = msa(t64(z), layer, heads=4)
+        zn = ln_oracle(z, layer.ln1_gamma.data, layer.ln1_beta.data)
+        q, k = zn @ layer.wq.data, zn @ layer.wk.data
+        dh = 2  # width 8 over 4 heads
+        per_head = [q[:, i:i + dh] @ k[:, i:i + dh].T / np.sqrt(dh) for i in range(0, 8, dh)]
         assert len(per_head) == 4
         assert np.allclose(scores.data, head_average(per_head), atol=1e-12)
 

@@ -66,3 +66,15 @@ def test_unsupported_dtype_rejected():
 def test_serialization_is_deterministic():
     arr = np.linspace(0, 1, 7, dtype=np.float32).reshape(7, 1)
     assert ftz.dumps(arr) == ftz.dumps(arr.copy())
+
+
+@pytest.mark.parametrize("header", [
+    b'{"dtype":"f32","shape":5}',
+    b'["f32",[2]]',
+    b'{"dtype":"f32","shape":["a"]}',
+    b'{"dtype":"f32","shape":[2.5]}',
+])
+def test_malformed_header_rejected(header):
+    blob = b"FFVTTNSR" + struct.pack("<I", len(header)) + header + b"\x00" * 8
+    with pytest.raises(FtzError):
+        ftz.loads(blob)

@@ -8,10 +8,8 @@ from fusevit.encoder import AttentionRecord, EncoderTrace, LN_EPS, ModelConfig
 from fusevit.errors import ConfigError, TraceMismatchError
 from fusevit.model import (
     FuseVitModel,
-    ffvt_forward,
     fuse,
     load_checkpoint,
-    plain_vit_forward,
     save_checkpoint,
 )
 from fusevit.selector import SelectionResult, maws, select_per_layer
@@ -181,8 +179,8 @@ class TestForwardPasses:
         rng = np.random.default_rng(11)
         for _ in range(20):
             image = rng.uniform(0, 1, (32, 32, 1))
-            assert np.allclose(ffvt_forward(image, model).logits.data,
-                               plain_vit_forward(image, model).data, atol=1e-5)
+            assert np.allclose(model.forward(image).logits.data,
+                               model.plain_forward(image).data, atol=1e-5)
 
     def test_plain_forward_matches_oracle_with_selector_on(self):
         model = FuseVitModel.build(toy_cfg("maws"), dtype=np.float64)
