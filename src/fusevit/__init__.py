@@ -30,7 +30,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .selector import SelectionResult, head_average, maws, saws, select_per_layer
+from .selector import SelectionResult, maws, saws, select_per_layer
 from .tensor import (
     Tape,
     Tensor,
@@ -54,7 +54,7 @@ __all__ = [
     "SynthDataset", "SynthSpec", "Tape", "Tensor", "TrainConfig",
     "augment", "backward", "cosine_lr", "cross_entropy", "embed",
     "encoder_layer", "evaluate", "finite_diff_check",
-    "forward_collect", "fuse", "gelu", "generate_synth", "head_average",
+    "forward_collect", "fuse", "gelu", "generate_synth",
     "layer_norm", "load_checkpoint", "matmul", "maws", "msa", "patchify",
     "precision", "save_checkpoint", "saws",
     "select_per_layer", "sgd_step", "softmax", "train",

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -87,11 +86,14 @@ class RunConfig:
                 loaded = json.loads(path.read_text())
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            if not isinstance(loaded, dict):
+                raise ConfigError(f"config file {path} is not a JSON object")
             unknown = sorted(set(loaded) - set(merged))
             if unknown:
                 raise ConfigError(f"unknown config keys {unknown}")
             merged.update(loaded)
         merged.update({k: v for k, v in overrides.items() if v is not None})
+        ftz.check_types(cls, merged, "config")
         return cls(**merged)
 
     # ---- derived configs ----
@@ -134,18 +136,14 @@ class _Parser(argparse.ArgumentParser):
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     """``--config`` plus one flag per ``RunConfig`` field, unset by default."""
     p.add_argument("--config", metavar="PATH", help="JSON config file")
-    hints = typing.get_type_hints(RunConfig)
-    for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        # the annotation is T or T | None; the flag parses a T
-        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
-        kind = next(t for t in kinds if t is not type(None))
+    for name, (kind, _) in ftz.field_types(RunConfig).items():
+        flag = "--" + name.replace("_", "-")
         if kind is bool:
-            p.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
-        elif f.name == "selector":
-            p.add_argument(flag, dest=f.name, choices=tuple(REGISTRY))
+            p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+        elif name == "selector":
+            p.add_argument(flag, dest=name, choices=tuple(REGISTRY))
         else:
-            p.add_argument(flag, dest=f.name, type=kind)
+            p.add_argument(flag, dest=name, type=kind)
 
 
 def build_parser() -> _Parser:
@@ -308,10 +306,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 def cmd_inspect(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "image", "out")
     model = load_checkpoint(cfg.checkpoint)
-    try:
-        img = ftz.read(cfg.image)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"image not readable: {exc}") from exc
+    img = ftz.read(cfg.image)
     expected = (model.cfg.image_h, model.cfg.image_w, model.cfg.channels)
     if img.shape != expected:
         raise ConfigError(

@@ -18,14 +18,12 @@ from .selector import REGISTRY
 from .tensor import (
     Tensor,
     add,
-    concat_cols,
     concat_rows,
     gelu,
     layer_norm,
     matmul,
     reshape,
     scale,
-    slice_cols,
     softmax,
     transpose,
 )
@@ -251,6 +249,9 @@ def embed(patches: Tensor, pe: PatchEmbedding) -> Tensor:
 def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = None):
     """Multi-head self-attention with residual; also returns score capture.
 
+    The heads are an axis: q and v split into ``(heads, S, dh)`` stacks, k
+    into ``(heads, dh, S)``, and one batched attention runs every head.
+
     Returns ``(out, scores)``. ``scores`` is the head-averaged pre-softmax
     scaled dot-product matrix, detached from the tape.
     """
@@ -258,31 +259,23 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     if d % heads != 0:
         raise ShapeError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
-    inv_sqrt_dh = 1.0 / math.sqrt(dh)
 
     zn = layer_norm(z, layer.ln1_gamma, layer.ln1_beta, LN_EPS)
-    q = matmul(zn, layer.wq)
-    k = matmul(zn, layer.wk)
-    v = matmul(zn, layer.wv)
 
-    head_outs = []
-    score_sum = None
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_cols(q, lo, hi)
-        kh = slice_cols(k, lo, hi)
-        vh = slice_cols(v, lo, hi)
-        sh = scale(matmul(qh, transpose(kh)), inv_sqrt_dh)
-        head_outs.append(matmul(softmax(sh), vh))
-        score_sum = sh.data if score_sum is None else score_sum + sh.data
+    def split(w: Tensor, axes) -> Tensor:
+        return transpose(reshape(matmul(zn, w), (s, heads, dh)), axes)
 
-    merged = head_outs[0] if heads == 1 else concat_cols(head_outs)
+    q = split(layer.wq, (1, 0, 2))
+    k_t = split(layer.wk, (1, 2, 0))
+    v = split(layer.wv, (1, 0, 2))
+    sh = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
+    merged = reshape(transpose(matmul(softmax(sh), v), (1, 0, 2)), (s, d))
     out = add(z, matmul(merged, layer.wo))
 
     where = f"layer {layer_index}" if layer_index is not None else "attention block"
     out.assert_finite(f"attention output of {where}")
 
-    return out, Tensor._wrap(score_sum / heads)
+    return out, Tensor._wrap(sh.data.sum(axis=0) / heads)
 
 
 def mlp(z: Tensor, layer: EncoderLayer) -> Tensor:

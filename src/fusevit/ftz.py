@@ -9,13 +9,15 @@ Layout, byte for byte:
 
 Used for weights, dataset images, and attention dumps. Dataset and
 checkpoint directories list their FTZ files in a ``manifest.json``, read by
-``read_manifest``.
+``read_manifest``; ``build_from`` turns its ``spec`` or ``config`` entry into
+a dataclass after ``check_types`` has checked every value's type.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+import typing
 from dataclasses import fields
 from pathlib import Path
 
@@ -82,7 +84,10 @@ def write(path, array: np.ndarray) -> None:
 
 
 def read(path) -> np.ndarray:
-    return loads(Path(path).read_bytes())
+    path = Path(path)
+    if not path.is_file():
+        raise FtzError(f"no FTZ file at {path}")
+    return loads(path.read_bytes())
 
 
 def read_manifest(path, what: str) -> dict:
@@ -107,4 +112,31 @@ def build_from(cls, values, what: str):
     unknown, missing = sorted(set(values) - names), sorted(names - set(values))
     if unknown or missing:
         raise ConfigError(f"{what} has unknown keys {unknown}, missing keys {missing}")
+    check_types(cls, values, what)
     return cls(**values)
+
+
+def field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field's type T of dataclass ``cls``, and whether it is ``T | None``."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in fields(cls):
+        kinds = typing.get_args(hints[f.name]) or (hints[f.name],)
+        out[f.name] = (next(t for t in kinds if t is not type(None)), type(None) in kinds)
+    return out
+
+
+def check_types(cls, values: dict, what: str) -> None:
+    """ConfigError unless every value fits its field of ``cls``: a bool is not
+    an int, an int is fine for a float, and None only for ``T | None``."""
+    for name, (kind, optional) in field_types(cls).items():
+        if name not in values:
+            continue
+        value = values[name]
+        if value is None:
+            ok = optional
+        else:
+            ok = type(value) in ((int, float) if kind is float else (kind,))
+        if not ok:
+            expected = kind.__name__ + (" or null" if optional else "")
+            raise ConfigError(f"{what} {name} must be {expected}, got {value!r}")

@@ -54,6 +54,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     gamma = _t(rng, 4)
     beta = _t(rng, 4)
     logits = _t(rng, 7)
+    a4x2x3 = T.reshape(a6x4, (4, 2, 3))
 
     probes: list[tuple[str, object, Tensor]] = [
         ("matmul.a", lambda x: T.sum_all(T.matmul(x, b4x5)), a6x4),
@@ -73,8 +74,13 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("transpose", lambda x: T.sum_all(T.mul(T.transpose(x), weight((4, 6)))), _t(rng, 6, 4)),
         ("reshape", lambda x: T.sum_all(T.mul(T.reshape(x, (8, 3)), weight((8, 3)))), _t(rng, 6, 4)),
         ("concat_rows", lambda x: T.sum_all(T.mul(T.concat_rows([x, a6x4]), weight((12, 4)))), _t(rng, 6, 4)),
-        ("concat_cols", lambda x: T.sum_all(T.mul(T.concat_cols([x, a6x4]), weight((6, 8)))), _t(rng, 6, 4)),
-        ("slice_cols", lambda x: T.sum_all(T.mul(T.slice_cols(x, 1, 3), weight((6, 2)))), _t(rng, 6, 4)),
+        # like the two column-op probes these replaced, each draws a 24-value
+        # input and their weights draw 60 values in all, so every later probe
+        # keeps its input, its weight and its error
+        ("matmul.batched", lambda x: T.sum_all(T.mul(T.matmul(x, a4x2x3), weight((4, 3, 3)))),
+         _t(rng, 4, 3, 2)),
+        ("transpose.axes", lambda x: T.sum_all(T.mul(T.transpose(x, (1, 2, 0)), weight((3, 4, 2)))),
+         _t(rng, 2, 3, 4)),
         ("gather_rows", lambda x: T.sum_all(T.mul(T.gather_rows(x, [0, 2, 2, 5]), weight((4, 4)))), _t(rng, 6, 4)),
         ("softmax.vec", lambda x: T.sum_all(T.mul(T.softmax(x), weight((7,)))), _t(rng, 7)),
         ("softmax.rows", lambda x: T.sum_all(T.mul(T.softmax(x), weight((5, 5)))), _t(rng, 5, 5)),

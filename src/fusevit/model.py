@@ -267,6 +267,8 @@ def load_checkpoint(directory) -> FuseVitModel:
         raise ConfigError(
             f"checkpoint/config mismatch: missing params {missing}, unknown {extra}")
     for name, tensor in named.items():
+        if not isinstance(files[name], str):
+            raise ConfigError(f"checkpoint params {name} must name a file, got {files[name]!r}")
         arr = ftz.read(directory / files[name])
         if arr.shape != tensor.shape:
             raise ConfigError(

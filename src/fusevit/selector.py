@@ -54,18 +54,6 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
-def head_average(heads: Sequence) -> np.ndarray:
-    """Elementwise arithmetic mean of per-head score matrices."""
-    mats = [np.asarray(getattr(h, "data", h), dtype=np.float64) for h in heads]
-    if not mats:
-        raise ShapeError("head_average of zero matrices")
-    shape = mats[0].shape
-    for m in mats:
-        if m.shape != shape:
-            raise ShapeError(f"head shapes differ: {[m.shape for m in mats]}")
-    return sum(mats) / len(mats)
-
-
 def _rank(scores_by_index: np.ndarray, k: int) -> list[int]:
     # candidates are 1..N; descending score, ties toward the lower index
     order = sorted(range(1, scores_by_index.shape[0]),

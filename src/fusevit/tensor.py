@@ -212,13 +212,14 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two rank-2 tensors."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product of two matrices, or of two stacks with equal leading axes."""
+    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
         raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
     out = Tensor._wrap(a.data @ b.data)
 
     def rule(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
     return _finish(out, (a, b), rule)
 
@@ -264,13 +265,15 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _finish(out, (a,), rule)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {a.shape}")
-    out = Tensor._wrap(np.ascontiguousarray(a.data.T))
+def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
+    """Permute the axes; by default reverse them (the matrix transpose)."""
+    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(a.ndim)):
+        raise ShapeError(f"transpose axes {axes} are not a permutation for {a.shape}")
+    out = Tensor._wrap(np.ascontiguousarray(a.data.transpose(axes)))
 
     def rule(g):
-        return (g.T,)
+        return (g.transpose(np.argsort(axes)),)
 
     return _finish(out, (a,), rule)
 
@@ -303,40 +306,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
     return _finish(out, parts, rule)
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-2 tensors along axis 1 (e.g. merging attention heads)."""
-    parts = tuple(parts)
-    if not parts:
-        raise ShapeError("concat_cols of zero tensors")
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(f"concat_cols row mismatch: {[p.shape for p in parts]}")
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=1))
-    offsets = np.cumsum([0] + [p.shape[1] for p in parts])
-
-    def rule(g):
-        return tuple(np.ascontiguousarray(g[:, offsets[i]:offsets[i + 1]])
-                     for i in range(len(parts)))
-
-    return _finish(out, parts, rule)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.ndim != 2:
-        raise ShapeError(f"slice_cols needs a matrix, got shape {a.shape}")
-    if not (0 <= start < stop <= a.shape[1]):
-        raise ShapeError(f"column slice [{start}:{stop}] out of range for {a.shape}")
-    out = Tensor._wrap(np.ascontiguousarray(a.data[:, start:stop]))
-
-    def rule(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return _finish(out, (a,), rule)
 
 
 def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:

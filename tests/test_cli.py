@@ -55,6 +55,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             RunConfig.from_sources(str(path), {})
 
+    @pytest.mark.parametrize("values", [
+        {"steps": "5"}, {"steps": 5.0}, {"layers": True}, {"steps": None},
+        {"flip": 1}, {"selector": None}, {"dataset": 3}, {"lr": "0.1"},
+    ])
+    def test_wrongly_typed_value_rejected(self, tmp_path, values):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(values))
+        name = next(iter(values))
+        with pytest.raises(ConfigError, match=f"config {name} must be"):
+            RunConfig.from_sources(str(path), {})
+
+    def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lr": 1, "mlp_dim": None, "crop": 16}))
+        cfg = RunConfig.from_sources(str(path), {})
+        assert (cfg.lr, cfg.mlp_dim, cfg.crop) == (1, None, 16)
+
+    def test_config_file_must_hold_an_object(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps([{"steps": 5}]))
+        with pytest.raises(ConfigError, match="not a JSON object"):
+            RunConfig.from_sources(str(path), {})
+
     def test_missing_config_file_rejected(self):
         with pytest.raises(ConfigError, match="not found"):
             RunConfig.from_sources("/nonexistent/cfg.json", {})
@@ -247,12 +270,14 @@ class TestGradcheckCommand:
         from fusevit.tensor import Tensor, _finish, ShapeError
 
         def broken_matmul(a, b):
-            if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+            if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
+                    or a.shape[-1] != b.shape[-2]):
                 raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
             out = Tensor._wrap(a.data @ b.data)
 
             def rule(g):
-                return -g @ b.data.T, a.data.T @ g  # wrong sign for input a
+                # wrong sign for input a
+                return -g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
 
             return _finish(out, (a, b), rule)
 
@@ -294,6 +319,16 @@ BAD_MANIFESTS = {
     "checkpoint-unknown-config-key": (
         "checkpoint", edited(lambda m: m["config"].update(colour=1))),
     "checkpoint-missing-config-key": ("checkpoint", edited(lambda m: m["config"].pop("k"))),
+    "dataset-spec-string-for-int": ("ds", edited(lambda m: m["spec"].update(num_classes="3"))),
+    "dataset-spec-bool-for-int": ("ds", edited(lambda m: m["spec"].update(seed=True))),
+    "dataset-spec-null-for-float": ("ds", edited(lambda m: m["spec"].update(noise_std=None))),
+    "checkpoint-config-string-for-int": (
+        "checkpoint", edited(lambda m: m["config"].update(layers="4"))),
+    "checkpoint-config-bool-for-int": (
+        "checkpoint", edited(lambda m: m["config"].update(heads=True))),
+    "checkpoint-config-float-for-int": ("checkpoint", edited(lambda m: m["config"].update(k=2.0))),
+    "checkpoint-params-not-string": (
+        "checkpoint", edited(lambda m: m["params"].update({"embed.E": 7}))),
 }
 
 
@@ -315,6 +350,29 @@ class TestManifestBoundary:
         manifest.write_text(mutate(json.loads(manifest.read_text())))
         capsys.readouterr()
         code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
+    @pytest.mark.parametrize("which, name", [("ds", "test_00000.ftz"),
+                                             ("checkpoint", "layer.1.wq.ftz")])
+    def test_missing_referenced_file_reports_one_error_line(
+            self, which, name, trained, tmp_path, capsys):
+        ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
+        (tmp_path / which / name).unlink()
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert err == [f"error: no FTZ file at {tmp_path / which / name}"]
+
+    def test_wrongly_typed_config_file_value_reports_one_error_line(
+            self, trained, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"steps": "5"}))
+        capsys.readouterr()
+        code = run_cli("train", "--config", str(path), "--dataset", str(trained[0]),
+                       "--out", str(tmp_path / "run"))
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:"), err

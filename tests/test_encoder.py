@@ -16,7 +16,6 @@ from fusevit.encoder import (
     patchify,
 )
 from fusevit.errors import ConfigError, ShapeError
-from fusevit.selector import head_average
 from fusevit.tensor import Tensor, softmax
 
 
@@ -176,7 +175,7 @@ class TestMsa:
         dh = 2  # width 8 over 4 heads
         per_head = [q[:, i:i + dh] @ k[:, i:i + dh].T / np.sqrt(dh) for i in range(0, 8, dh)]
         assert len(per_head) == 4
-        assert np.allclose(scores.data, head_average(per_head), atol=1e-12)
+        assert np.allclose(scores.data, np.mean(per_head, axis=0), atol=1e-12)
 
 
 class TestEncoderLayer:
@@ -197,21 +196,27 @@ class TestEncoderLayer:
         assert out.shape == (s, 8)
         assert scores.shape == (s, s)
 
-    def test_composite_matches_step_by_step_oracle(self):
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_composite_matches_step_by_step_oracle(self, heads):
         rng = np.random.default_rng(10)
         d, mlp_dim = 8, 32
         layer = make_layer(rng, d, mlp_dim)
         z = rng.standard_normal((4, d))
-        out, _ = encoder_layer(t64(z), layer, heads=1)
+        out, _ = encoder_layer(t64(z), layer, heads=heads)
 
-        # independent numpy walk through the same block
+        # independent numpy walk through the same block, one head at a time
         from scipy.special import erf
         zn = ln_oracle(z, layer.ln1_gamma.data, layer.ln1_beta.data)
         q, k, v = zn @ layer.wq.data, zn @ layer.wk.data, zn @ layer.wv.data
-        s = q @ k.T / np.sqrt(d)
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        attn = e / e.sum(axis=-1, keepdims=True)
-        u = z + (attn @ v) @ layer.wo.data
+        dh = d // heads
+        head_outs = []
+        for lo in range(0, d, dh):
+            qh, kh, vh = q[:, lo:lo + dh], k[:, lo:lo + dh], v[:, lo:lo + dh]
+            s = qh @ kh.T / np.sqrt(dh)
+            e = np.exp(s - s.max(axis=-1, keepdims=True))
+            attn = e / e.sum(axis=-1, keepdims=True)
+            head_outs.append(attn @ vh)
+        u = z + np.hstack(head_outs) @ layer.wo.data
         un = ln_oracle(u, layer.ln2_gamma.data, layer.ln2_beta.data)
         h = un @ layer.w1.data + layer.b1.data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))

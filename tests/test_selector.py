@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusevit.encoder import AttentionRecord, EncoderTrace
-from fusevit.errors import ConfigError, ShapeError
+from fusevit.errors import ConfigError
 from fusevit.selector import (
     SelectionResult,
-    head_average,
     maws,
     saws,
     select_per_layer,
@@ -35,34 +34,6 @@ DIVERGENCE = np.array([[1.0, 2.0, 3.0, 4.0],
 def softmax_oracle(v):
     e = np.exp(np.asarray(v, dtype=np.float64) - np.max(v))
     return e / e.sum()
-
-
-class TestHeadAverage:
-    def test_identical_matrices(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(head_average([m, m]), m)
-
-    def test_two_matrix_mean(self):
-        a = np.array([[0.0, 2.0], [2.0, 0.0]])
-        b = np.array([[2.0, 0.0], [0.0, 2.0]])
-        assert np.array_equal(head_average([a, b]), np.ones((2, 2)))
-
-    def test_twelve_random_heads_match_brute_force(self):
-        rng = np.random.default_rng(0)
-        heads = [rng.standard_normal((5, 5)) for _ in range(12)]
-        expected = np.zeros((5, 5))
-        for h in heads:
-            expected += h
-        expected /= 12
-        assert np.allclose(head_average(heads), expected, atol=1e-7)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            head_average([np.zeros((2, 2)), np.zeros((3, 3))])
-
-    def test_accepts_tensors(self):
-        m = Tensor(np.eye(3), dtype=np.float64)
-        assert np.array_equal(head_average([m, m]), np.eye(3))
 
 
 class TestSaws:

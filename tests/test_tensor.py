@@ -20,6 +20,7 @@ from fusevit.tensor import (
     reshape,
     softmax,
     sum_all,
+    transpose,
 )
 
 
@@ -82,6 +83,49 @@ class TestMatmul:
         err = finite_diff_check(lambda x: sum_all(matmul(x, b)),
                                 t64(rng.standard_normal((3, 3))))
         assert err < 1e-5
+
+    def test_stack_equals_each_matrix_product(self):
+        rng = np.random.default_rng(1)
+        a = rng.standard_normal((3, 2, 4))
+        b = rng.standard_normal((3, 4, 5))
+        out = matmul(t64(a), t64(b)).data
+        assert out.shape == (3, 2, 5)
+        for i in range(3):
+            assert np.array_equal(out[i], matmul(t64(a[i]), t64(b[i])).data)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((2, 3, 4), (4, 5)),        # no broadcasting of a matrix over a stack
+        ((2, 3, 4), (3, 4, 5)),     # leading axes must be equal
+        ((4,), (4, 5)),             # vectors are not matrices
+    ])
+    def test_stack_shape_mismatch_rejected(self, a_shape, b_shape):
+        with pytest.raises(ShapeError):
+            matmul(t64(np.zeros(a_shape)), t64(np.zeros(b_shape)))
+
+
+class TestTranspose:
+    def test_default_reverses_axes(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        assert np.array_equal(transpose(t64(x)).data, x.T)
+        assert np.array_equal(transpose(t64(x[0])).data, x[0].T)
+
+    def test_axes_permute_and_output_is_row_major(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        out = transpose(t64(x), (1, 2, 0)).data
+        assert np.array_equal(out, x.transpose(1, 2, 0))
+        assert out.flags["C_CONTIGUOUS"]
+
+    def test_backward_applies_inverse_permutation(self):
+        x = t64(np.zeros((2, 3, 4)), requires_grad=True)
+        w = np.arange(24.0).reshape(3, 4, 2)
+        with Tape() as tape:
+            tape.backward(sum_all(mul(transpose(x, (1, 2, 0)), t64(w))))
+        assert np.array_equal(x.grad, w.transpose(2, 0, 1))
+
+    @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3)])
+    def test_non_permutation_rejected(self, axes):
+        with pytest.raises(ShapeError, match="permutation"):
+            transpose(t64(np.zeros((2, 3, 4))), axes)
 
 
 class TestSoftmax:
@@ -302,7 +346,7 @@ def _probe_ops(rng):
     g = rt(ln_cols)
     bvec = rt(ln_cols)
     label = int(rng.integers(0, cols))
-    return [
+    probes = [
         ("matmul", lambda t: sum_all(mul(matmul(t, b), w_mm)), a),
         ("add.bias", lambda t: sum_all(mul(add(x2d, t), w)), rt(cols)),
         ("mul", lambda t: sum_all(mul(mul(t, x2d), w)), rt(rows, cols)),
@@ -311,6 +355,17 @@ def _probe_ops(rng):
          rt(rows, ln_cols)),
         ("gelu", lambda t: sum_all(mul(gelu(t), w)), rt(rows, cols)),
         ("cross_entropy", lambda t: cross_entropy(t, label), rt(cols)),
+    ]
+    # the stacked forms draw last, so every 2-D probe keeps its inputs
+    batch = int(rng.integers(1, 5))
+    b3 = rt(batch, inner, cols)
+    w3 = rt(batch, rows, cols)
+    w_tr = rt(cols, batch, rows)
+    return probes + [
+        ("matmul.batched", lambda t: sum_all(mul(matmul(t, b3), w3)),
+         rt(batch, rows, inner)),
+        ("transpose.axes", lambda t: sum_all(mul(transpose(t, (2, 0, 1)), w_tr)),
+         rt(batch, rows, cols)),
     ]
 
 
