@@ -7,6 +7,7 @@ rather than post-softmax rows; see ``AttentionRecord``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -215,67 +216,87 @@ def init_encoder_layer(cfg: ModelConfig, rng: np.random.Generator,
 
 
 def patchify(image: Tensor, patch_size: int) -> Tensor:
-    """Cut an HxWxC image into a row-major grid of flattened patches.
+    """Cut an HxWxC image, or a stack ``(..., H, W, C)`` of them, into a
+    row-major grid of flattened patches.
 
     Trailing pixels beyond floor(H/P)*P (resp. W) are discarded; each patch
     is flattened row-major with channels fastest.
     """
-    if image.ndim != 3:
+    if image.ndim < 3:
         raise ShapeError(f"patchify expects HxWxC, got shape {image.shape}")
-    h, w, c = image.shape
+    *lead, h, w, c = image.shape
     p = int(patch_size)
     if p < 1 or p > h or p > w:
         raise ShapeError(f"patch size {p} does not fit a {h}x{w} image")
     gh, gw = h // p, w // p
-    arr = image.data[: gh * p, : gw * p, :]
-    patches = (arr.reshape(gh, p, gw, p, c)
-                  .transpose(0, 2, 1, 3, 4)
-                  .reshape(gh * gw, p * p * c))
+    r = len(lead)
+    arr = image.data[..., : gh * p, : gw * p, :]
+    patches = (arr.reshape(*lead, gh, p, gw, p, c)
+                  .transpose(*range(r), r, r + 2, r + 1, r + 3, r + 4)
+                  .reshape(*lead, gh * gw, p * p * c))
     return Tensor._wrap(np.ascontiguousarray(patches))
 
 
 def embed(patches: Tensor, pe: PatchEmbedding) -> Tensor:
-    """Project patches, prepend the class token, add position embeddings."""
-    n = patches.shape[0]
+    """Project patches, prepend the class token, add position embeddings.
+
+    ``patches`` is ``(N, P*P*C)`` or a stack ``(..., N, P*P*C)``; the class
+    token reaches every slice of a stack through a matmul with ones, which
+    is exact.
+    """
+    *lead, n, _ = patches.data.shape
     if pe.pos.shape[0] != n + 1:
         raise ShapeError(
             f"position table has {pe.pos.shape[0]} rows, need {n + 1}")
     d = pe.proj.shape[1]
     cls_row = reshape(pe.cls, (1, d))
+    if lead:
+        cls_row = matmul(Tensor._wrap(np.ones((*lead, 1, 1), pe.cls.data.dtype)), cls_row)
     tokens = concat_rows([cls_row, matmul(patches, pe.proj)])
     return add(tokens, pe.pos)
+
+
+@functools.lru_cache(maxsize=None)
+def _head_axes(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axes that turn ``(..., S, heads, dh)`` into ``(..., heads, S, dh)`` (and
+    back), and into ``(..., heads, dh, S)``, for ``rank`` leading axes."""
+    lead = tuple(range(rank))
+    return (*lead, rank + 1, rank, rank + 2), (*lead, rank + 1, rank + 2, rank)
 
 
 def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = None):
     """Multi-head self-attention with residual; also returns score capture.
 
-    The heads are an axis: q and v split into ``(heads, S, dh)`` stacks, k
-    into ``(heads, dh, S)``, and one batched attention runs every head.
+    ``z`` is ``(S, D)`` or a stack ``(..., S, D)``. The heads are an axis: q
+    and v split into ``(..., heads, S, dh)`` stacks, k into
+    ``(..., heads, dh, S)``, and one batched attention runs every head of
+    every slice.
 
     Returns ``(out, scores)``. ``scores`` is the head-averaged pre-softmax
-    scaled dot-product matrix, detached from the tape.
+    scaled dot-product matrix, ``(..., S, S)``, detached from the tape.
     """
-    s, d = z.shape
+    *lead, s, d = z.data.shape
     if d % heads != 0:
         raise ShapeError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
+    swap, to_keys = _head_axes(len(lead))
 
     zn = layer_norm(z, layer.ln1_gamma, layer.ln1_beta, LN_EPS)
 
     def split(w: Tensor, axes) -> Tensor:
-        return transpose(reshape(matmul(zn, w), (s, heads, dh)), axes)
+        return transpose(reshape(matmul(zn, w), (*lead, s, heads, dh)), axes)
 
-    q = split(layer.wq, (1, 0, 2))
-    k_t = split(layer.wk, (1, 2, 0))
-    v = split(layer.wv, (1, 0, 2))
+    q = split(layer.wq, swap)
+    k_t = split(layer.wk, to_keys)
+    v = split(layer.wv, swap)
     sh = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
-    merged = reshape(transpose(matmul(softmax(sh), v), (1, 0, 2)), (s, d))
+    merged = reshape(transpose(matmul(softmax(sh), v), swap), (*lead, s, d))
     out = add(z, matmul(merged, layer.wo))
 
     where = f"layer {layer_index}" if layer_index is not None else "attention block"
     out.assert_finite(f"attention output of {where}")
 
-    return out, Tensor._wrap(sh.data.sum(axis=0) / heads)
+    return out, Tensor._wrap(sh.data.sum(axis=-3) / heads)
 
 
 def mlp(z: Tensor, layer: EncoderLayer) -> Tensor:

@@ -87,7 +87,10 @@ def read(path) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise FtzError(f"no FTZ file at {path}")
-    return loads(path.read_bytes())
+    try:
+        return loads(path.read_bytes())
+    except FtzError as exc:
+        raise FtzError(f"{path}: {exc}") from exc
 
 
 def read_manifest(path, what: str) -> dict:

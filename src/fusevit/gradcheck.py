@@ -93,6 +93,30 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("softmax_cross_entropy", lambda x: T.cross_entropy(T.mul(x, weight((7,))), 2), _t(rng, 7)),
     ]
 
+    results = _run_probes(probes)
+    # the batch-axis probes draw their inputs only now, after every weight the
+    # probes above drew while running, so each of those keeps its error
+    a2x6x4 = _t(rng, 2, 6, 4)
+    probes = [
+        ("matmul.shared.a", lambda x: T.sum_all(T.mul(T.matmul(x, b4x5), weight((2, 6, 5)))),
+         _t(rng, 2, 6, 4)),
+        ("matmul.shared.b", lambda x: T.sum_all(T.mul(T.matmul(a2x6x4, x), weight((2, 6, 5)))),
+         _t(rng, 4, 5)),
+        ("add.suffix", lambda x: T.sum_all(T.mul(T.add(a2x6x4, x), weight((2, 6, 4)))),
+         _t(rng, 6, 4)),
+        ("concat_rows.stack",
+         lambda x: T.sum_all(T.mul(T.concat_rows([x, a2x6x4]), weight((2, 12, 4)))),
+         _t(rng, 2, 6, 4)),
+        ("gather_rows.stack",
+         lambda x: T.sum_all(T.mul(T.gather_rows(x, [[0, 2, 2], [5, 1, 0]]), weight((2, 3, 4)))),
+         _t(rng, 2, 6, 4)),
+        ("cross_entropy.batched", lambda x: T.sum_all(T.cross_entropy(x, np.array([3, 0]))),
+         _t(rng, 2, 7)),
+    ]
+    return results + _run_probes(probes)
+
+
+def _run_probes(probes) -> list[CheckResult]:
     results = []
     for name, fn, x in probes:
         start = time.perf_counter()

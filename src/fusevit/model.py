@@ -54,11 +54,19 @@ class FusedSequence:
     """Input of the final layer plus where each row came from.
 
     ``provenance[r] == (layer_index, token_index)``; row 0 is always the
-    class token of the deepest collected layer.
+    class token of the deepest collected layer. For a stack of images
+    ``provenance`` holds one such list per image.
     """
 
     tokens: Tensor
-    provenance: list[tuple[int, int]]
+    provenance: list
+
+
+def _provenance(layers: list[int], tokens: np.ndarray) -> list:
+    """Pair each row's layer with its token index, one list per image."""
+    if tokens.ndim > 1:
+        return [_provenance(layers, t) for t in tokens]
+    return list(zip(layers, tokens.tolist()))
 
 
 @dataclass
@@ -79,6 +87,14 @@ class ClassifierHead:
 
 @dataclass
 class ForwardResult:
+    """Everything one forward pass produced.
+
+    For one image ``logits`` is ``(C,)``; for a stack ``(B, H, W, C)`` every
+    field gains the batch axis: ``(B, C)`` logits, ``(B, S, D)`` hidden
+    states and ``(B, S, S)`` scores in the trace, ``(B, k)`` selection
+    arrays, and one provenance list per image.
+    """
+
     logits: Tensor
     trace: EncoderTrace
     selections: list[SelectionResult]
@@ -103,29 +119,33 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
     """Gather selected hidden rows into the final layer's input sequence.
 
     Row layout: class token of the last collected layer, then layer 1's k
-    selected tokens, layer 2's, and so on. Rows are copies of the hidden
-    states, not views.
+    selected tokens, layer 2's, and so on; for a stack each image gathers
+    its own rows. Rows are copies of the hidden states, not views.
     """
     if len(selections) != len(trace.hidden):
         raise TraceMismatchError(
             f"{len(selections)} selections for {len(trace.hidden)} traced layers")
     last_index = len(trace.hidden)
-    parts = [gather_rows(trace.hidden[-1], [0])]
-    provenance: list[tuple[int, int]] = [(last_index, 0)]
+    rows = [np.zeros((*trace.hidden[-1].data.shape[:-2], 1), dtype=np.intp)]
+    parts = [gather_rows(trace.hidden[-1], rows[0])]
+    layers = [last_index]
     for pos, sel in enumerate(selections, start=1):
         if sel.layer_index != pos:
             raise TraceMismatchError(
                 f"selection for layer {sel.layer_index} found at trace position {pos}")
         hidden = trace.hidden[pos - 1]
-        rows = hidden.shape[0]
-        for i in sel.indices:
-            if not 1 <= i < rows:
-                raise TraceMismatchError(
-                    f"selected token {i} outside 1..{rows - 1} at layer {pos}")
-        parts.append(gather_rows(hidden, sel.indices))
-        provenance.extend((pos, i) for i in sel.indices)
+        count = hidden.data.shape[-2]
+        idx = np.asarray(sel.indices, dtype=np.intp)
+        outside = idx[(idx < 1) | (idx >= count)]
+        if outside.size:
+            raise TraceMismatchError(
+                f"selected token {outside[0]} outside 1..{count - 1} at layer {pos}")
+        parts.append(gather_rows(hidden, idx))
+        rows.append(idx)
+        layers += [pos] * idx.shape[-1]
     tokens = parts[0] if len(parts) == 1 else concat_rows(parts)
-    return FusedSequence(tokens=tokens, provenance=provenance)
+    return FusedSequence(tokens=tokens,
+                         provenance=_provenance(layers, np.concatenate(rows, axis=-1)))
 
 
 class FuseVitModel:
@@ -169,27 +189,31 @@ class FuseVitModel:
         expected = (self.cfg.image_h, self.cfg.image_w, self.cfg.channels)
         if not isinstance(image, Tensor):
             image = Tensor(np.asarray(image), dtype=self.dtype)
-        if image.shape != expected:
-            raise ShapeError(f"image shape {image.shape} does not match {expected}")
+        if image.ndim not in (3, 4) or image.shape[-3:] != expected:
+            raise ShapeError(
+                f"image shape {image.shape} does not match {expected} or (B, *{expected})")
         if image.dtype != self.dtype:
             image = Tensor(image.data.astype(self.dtype), dtype=self.dtype)
         return image
 
     def _classify(self, final_tokens: Tensor) -> Tensor:
-        cls_row = gather_rows(final_tokens, [0])
+        lead = final_tokens.data.shape[:-2]
+        cls_row = gather_rows(final_tokens, np.zeros((*lead, 1), dtype=np.intp))
         x = layer_norm(cls_row, self.head.ln_gamma, self.head.ln_beta, LN_EPS)
         for i, (w, b) in enumerate(self.head.affines):
             if i:
                 x = gelu(x)
             x = add(matmul(x, w), b)
-        return reshape(x, (self.cfg.num_classes,))
+        return reshape(x, (*lead, self.cfg.num_classes))
 
     def forward(self, image, frozen_selections: list[SelectionResult] | None = None
                 ) -> ForwardResult:
         """Full selective-fusion forward pass.
 
-        With selector "none" the fusion step is a pass-through and the run
-        reduces to a plain ViT. ``frozen_selections`` bypasses the selector
+        ``image`` is one ``(H, W, C)`` image or a stack ``(B, H, W, C)``; a
+        stack runs as one batch and every result field gains its axis (see
+        ``ForwardResult``). With selector "none" the fusion step is a
+        pass-through and the run reduces to a plain ViT. ``frozen_selections`` bypasses the selector
         (used by gradient checks, which must hold indices fixed while
         perturbing parameters).
         """
@@ -205,8 +229,10 @@ class FuseVitModel:
             selections = select_per_layer(trace, cfg.k, cfg.selector)
         if frozen_selections is None and cfg.selector == "none":
             last = trace.hidden[-1]
-            provenance = [(len(trace.hidden), i) for i in range(last.shape[0])]
-            fused = FusedSequence(tokens=last, provenance=provenance)
+            *lead, rows = last.data.shape[:-1]
+            tokens = np.broadcast_to(np.arange(rows), (*lead, rows))
+            fused = FusedSequence(tokens=last, provenance=_provenance(
+                [len(trace.hidden)] * rows, tokens))
         else:
             fused = fuse(trace, selections)
 

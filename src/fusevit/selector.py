@@ -1,7 +1,7 @@
 """Rank and pick the most informative non-class tokens per layer.
 
 Two rankings over an (N+1)x(N+1) attention score matrix whose row/column 0
-belong to the class token:
+belong to the class token, or over a stack ``(..., N+1, N+1)`` of them:
 
 * ``saws`` — single attention weights: sort the class-token row.
 * ``maws`` — mutual attention weights: product of the row-softmax score
@@ -28,23 +28,27 @@ from .errors import ConfigError, ShapeError
 
 @dataclass
 class SelectionResult:
-    """Top-k token indices of one layer, best first, with their weights."""
+    """Top-k token indices of one layer, best first, with their weights.
+
+    For one image these are lists of Python ints and floats; for a stack of
+    images they are ``(..., k)`` arrays, one row per image.
+    """
 
     layer_index: int
-    indices: list[int]
-    weights: list[float]
+    indices: list[int] | np.ndarray
+    weights: list[float] | np.ndarray
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_scores(a) -> np.ndarray:
     arr = np.asarray(getattr(a, "data", a), dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ShapeError(f"attention scores must be square, got shape {arr.shape}")
     return arr
 
 
 def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max())
-    return e / e.sum()
+    e = np.exp(v - v.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_k(k: int, n: int) -> int:
@@ -54,21 +58,25 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
-def _rank(scores_by_index: np.ndarray, k: int) -> list[int]:
-    # candidates are 1..N; descending score, ties toward the lower index
-    order = sorted(range(1, scores_by_index.shape[0]),
-                   key=lambda i: (-scores_by_index[i], i))
-    return order[:k]
+def _result(layer_index: int, indices: np.ndarray, weights: np.ndarray) -> SelectionResult:
+    if indices.ndim == 1:
+        return SelectionResult(layer_index, indices.tolist(), weights.tolist())
+    return SelectionResult(layer_index, indices, weights)
+
+
+def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int,
+           layer_index: int) -> SelectionResult:
+    # candidates are 1..N; descending ranking, ties toward the lower index
+    chosen = np.argsort(-ranking[..., 1:], axis=-1, kind="stable")[..., :k] + 1
+    return _result(layer_index, chosen, np.take_along_axis(weights, chosen, axis=-1))
 
 
 def saws(scores, k: int, layer_index: int = 0) -> SelectionResult:
     """Top-k tokens by the class-token row of the score matrix."""
-    a = _as_matrix(scores)
-    k = _check_k(k, a.shape[0] - 1)
-    row = a[0]
-    chosen = _rank(row, k)
-    probs = _softmax(row)
-    return SelectionResult(layer_index, chosen, [float(probs[i]) for i in chosen])
+    a = _as_scores(scores)
+    k = _check_k(k, a.shape[-1] - 1)
+    row = a[..., 0, :]
+    return _top_k(row, _softmax(row), k, layer_index)
 
 
 def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
@@ -78,19 +86,18 @@ def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
     high only when the class token attends to i *and* i attends back to the
     class token.
     """
-    a = _as_matrix(scores)
-    k = _check_k(k, a.shape[0] - 1)
-    row_probs = _softmax(a[0])
-    col_probs = _softmax(a[:, 0])
-    mutual = row_probs * col_probs
-    chosen = _rank(mutual, k)
-    return SelectionResult(layer_index, chosen, [float(mutual[i]) for i in chosen])
+    a = _as_scores(scores)
+    k = _check_k(k, a.shape[-1] - 1)
+    mutual = _softmax(a[..., 0, :]) * _softmax(a[..., :, 0])
+    return _top_k(mutual, mutual, k, layer_index)
 
 
 def first_k(scores, k: int, layer_index: int = 0) -> SelectionResult:
     """Ablation control: the first k token indices with unit weights, no ranking."""
-    k = _check_k(k, _as_matrix(scores).shape[0] - 1)
-    return SelectionResult(layer_index, list(range(1, k + 1)), [1.0] * k)
+    a = _as_scores(scores)
+    k = _check_k(k, a.shape[-1] - 1)
+    indices = np.broadcast_to(np.arange(1, k + 1), (*a.shape[:-2], k)).copy()
+    return _result(layer_index, indices, np.ones(indices.shape))
 
 
 # selector name -> function; the order is the arm order of ``compare``

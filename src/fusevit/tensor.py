@@ -169,20 +169,27 @@ class Tape:
         if loss._tape is not self:
             raise TapeError("loss was not produced under this tape")
         self._consumed = True
-        # zero-init buffers so tensors that never receive flow end up with 0
-        for rec in self._records:
-            for t in (*rec.inputs, rec.output):
-                if t.requires_grad and t.grad is None:
-                    t.grad = np.zeros_like(t.data)
-        loss.grad = loss.grad + np.ones((), dtype=loss.data.dtype)
+        loss.grad = np.ones((), dtype=loss.data.dtype)
         for rec in reversed(self._records):
             out_grad = rec.output.grad
             if out_grad is None:
                 continue
             partials = rec.backward(out_grad)
             for t, p in zip(rec.inputs, partials):
-                if p is not None and t.requires_grad:
+                if p is None or not t.requires_grad:
+                    continue
+                if t.grad is None:
+                    # the first partial becomes the buffer; a rule may hand back
+                    # its incoming gradient or a view of it, which must not be
+                    # shared with another tensor's buffer
+                    t.grad = p.copy() if p is out_grad or p.base is not None else p
+                else:
                     t.grad += p
+        # tensors that never received flow end up with 0
+        for rec in self._records:
+            for t in (*rec.inputs, rec.output):
+                if t.grad is None and t.requires_grad:
+                    t.grad = np.zeros_like(t.data)
 
 
 _TAPE_STACK: list[Tape] = []
@@ -212,40 +219,49 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two matrices, or of two stacks with equal leading axes."""
-    if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    out = Tensor._wrap(a.data @ b.data)
+    """Matrix product of two matrices, of two stacks with equal leading axes,
+    or of a stack ``(..., S, D)`` and one matrix ``(D, E)`` shared by every slice."""
+    ad, bd = a.data, b.data
+    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
+            or bd.ndim > 2 and (ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2])):
+        raise ShapeError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
+    out = Tensor._wrap(ad @ bd)
 
-    def rule(g):
-        return g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+    if bd.ndim == 2:
+        def rule(g):
+            # the shared matrix collects the products of every slice
+            return (g @ bd.T,
+                    ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
+    else:
+        def rule(g):
+            return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
 
     return _finish(out, (a, b), rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; also broadcasts a 1-D bias over the last axis."""
-    if a.shape == b.shape:
-        out = Tensor._wrap(a.data + b.data)
+    """Elementwise sum; ``b`` may also have a suffix of ``a``'s shape (a bias
+    vector, or a position table over a stack) and is broadcast over the rest."""
+    ad, bd = a.data, b.data
+    lead = ad.ndim - bd.ndim
+    if lead < 0 or ad.shape[lead:] != bd.shape:
+        raise ShapeError(f"add shape mismatch: {ad.shape} + {bd.shape}")
+    out = Tensor._wrap(ad + bd)
 
+    if lead:
+        axes = tuple(range(lead))
+
+        def rule(g):
+            return g, g.sum(axis=axes)
+    else:
         def rule(g):
             return g, g
 
-    elif b.ndim == 1 and a.ndim >= 1 and a.shape[-1] == b.shape[0]:
-        out = Tensor._wrap(a.data + b.data)
-
-        def rule(g):
-            axes = tuple(range(g.ndim - 1))
-            return g, g.sum(axis=axes) if axes else g
-
-    else:
-        raise ShapeError(f"add shape mismatch: {a.shape} + {b.shape}")
     return _finish(out, (a, b), rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} * {b.shape}")
     out = Tensor._wrap(a.data * b.data)
 
@@ -267,8 +283,9 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     """Permute the axes; by default reverse them (the matrix transpose)."""
-    axes = tuple(reversed(range(a.ndim))) if axes is None else tuple(axes)
-    if sorted(axes) != list(range(a.ndim)):
+    ndim = a.data.ndim
+    axes = tuple(reversed(range(ndim))) if axes is None else tuple(axes)
+    if sorted(axes) != list(range(ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation for {a.shape}")
     out = Tensor._wrap(np.ascontiguousarray(a.data.transpose(axes)))
 
@@ -280,46 +297,57 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(int(s) for s in shape)
-    if math.prod(shape) != a.size:
-        raise ShapeError(f"cannot reshape {a.shape} to {shape}")
+    in_shape = a.data.shape
+    if math.prod(shape) != a.data.size:
+        raise ShapeError(f"cannot reshape {in_shape} to {shape}")
     out = Tensor._wrap(a.data.reshape(shape))
 
     def rule(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(in_shape),)
 
     return _finish(out, (a,), rule)
 
 
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack rank-2 tensors along axis 0."""
+    """Join tensors along axis -2; every other axis must match."""
     parts = tuple(parts)
     if not parts:
         raise ShapeError("concat_rows of zero tensors")
-    cols = parts[0].shape[-1]
+    first = parts[0].data.shape
     for p in parts:
-        if p.ndim != 2 or p.shape[1] != cols:
-            raise ShapeError(f"concat_rows column mismatch: {[p.shape for p in parts]}")
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=0))
-    offsets = np.cumsum([0] + [p.shape[0] for p in parts])
+        shape = p.data.shape
+        if len(shape) < 2 or len(shape) != len(first) or shape[:-2] != first[:-2] \
+                or shape[-1] != first[-1]:
+            raise ShapeError(f"concat_rows shape mismatch: {[p.shape for p in parts]}")
+    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=-2))
+    offsets = np.cumsum([0] + [p.data.shape[-2] for p in parts])
 
     def rule(g):
-        return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
+        return tuple(g[..., offsets[i]:offsets[i + 1], :] for i in range(len(parts)))
 
     return _finish(out, parts, rule)
 
 
-def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
-    """Copy the given rows (duplicates allowed) into a new matrix."""
-    if a.ndim != 2:
-        raise ShapeError(f"gather_rows needs a matrix, got shape {a.shape}")
-    idx = np.asarray(list(indices), dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ShapeError(f"row indices {indices} out of range for {a.shape}")
-    out = Tensor._wrap(a.data[idx])
+def gather_rows(a: Tensor, indices) -> Tensor:
+    """Copy the given rows (duplicates allowed) into a new tensor.
+
+    For a matrix ``indices`` is a sequence of row numbers; for a stack
+    ``(..., S, D)`` it is an integer array ``(..., R)`` holding each slice's
+    own rows.
+    """
+    ad = a.data
+    idx = np.asarray(indices, dtype=np.intp)
+    if ad.ndim < 2 or idx.ndim != ad.ndim - 1 or idx.shape[:-1] != ad.shape[:-2]:
+        raise ShapeError(f"gather_rows of indices shaped {idx.shape} from shape {ad.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= ad.shape[-2]):
+        raise ShapeError(f"row indices {indices} out of range for {ad.shape}")
+    # index tuple: one broadcast index per leading axis, then the rows
+    key = (*np.indices(idx.shape, sparse=True)[:-1], idx) if idx.ndim > 1 else idx
+    out = Tensor._wrap(ad[key])
 
     def rule(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        full = np.zeros_like(ad)
+        np.add.at(full, key, g)
         return (full,)
 
     return _finish(out, (a,), rule)
@@ -327,9 +355,9 @@ def gather_rows(a: Tensor, indices: Sequence[int]) -> Tensor:
 
 def softmax(v: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, computed with max-subtraction."""
-    if v.size == 0 or v.shape[-1] == 0:
-        raise ShapeError("softmax of an empty tensor")
     x = v.data
+    if x.size == 0 or x.shape[-1] == 0:
+        raise ShapeError("softmax of an empty tensor")
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
@@ -344,7 +372,7 @@ def softmax(v: Tensor) -> Tensor:
 
 def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
     """Normalize each vector along the last axis, then apply gamma/beta."""
-    d = v.shape[-1] if v.ndim else 0
+    d = v.data.shape[-1] if v.data.ndim else 0
     if d == 0:
         raise ShapeError("layer_norm over an empty last axis")
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -353,9 +381,10 @@ def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     if not eps > 0:
         raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = v.data
-    mu = x.mean(axis=-1, keepdims=True)
+    # np.add.reduce / d is what ndarray.mean computes, without its dispatch cost
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor._wrap(xhat * gamma.data + beta.data)
@@ -366,8 +395,8 @@ def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         dbeta = g.sum(axis=lead) if lead else g
         dxhat = g * gamma.data
         dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                    - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
         return dx, dgamma, dbeta
 
     return _finish(out, (v, gamma, beta), rule)
@@ -396,26 +425,34 @@ def sum_all(a: Tensor) -> Tensor:
     return _finish(out, (a,), rule)
 
 
-def cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-softmax of the true class; scalar loss."""
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy expects a logit vector, got shape {logits.shape}")
-    n = logits.shape[0]
-    label = int(label)
-    if not 0 <= label < n:
-        raise IndexError(f"label {label} out of range for {n} classes")
+def cross_entropy(logits: Tensor, label) -> Tensor:
+    """Negative log-softmax of the true class, over the last axis.
+
+    ``logits`` is ``(..., C)`` and ``label`` an integer (array) of shape
+    ``(...)``; the result has that shape too, so one logit vector and an int
+    label give a scalar loss. A label outside ``[0, C)`` is a ConfigError.
+    """
     x = logits.data
-    m = x.max()
+    labels = np.asarray(label)
+    if x.ndim < 1 or labels.shape != x.shape[:-1]:
+        raise ShapeError(f"cross_entropy of logits shaped {x.shape} "
+                         f"with labels shaped {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ConfigError(f"labels must be integers, got {labels.dtype}")
+    n = x.shape[-1]
+    if labels.size and (labels.min() < 0 or labels.max() >= n):
+        raise ConfigError(f"label {label} out of range for {n} classes")
+    pick = labels[..., None]
+    m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
-    z = e.sum()
+    z = e.sum(axis=-1, keepdims=True)
     probs = e / z
-    loss = (np.log(z) + m - x[label]).reshape(()).astype(x.dtype)
+    loss = (np.log(z) + m - np.take_along_axis(x, pick, axis=-1))[..., 0].astype(x.dtype)
     out = Tensor._wrap(loss)
 
     def rule(g):
-        d = probs.copy()
-        d[label] -= 1.0
-        return (g * d.astype(x.dtype, copy=False),)
+        d = probs - (np.arange(n) == pick)
+        return (g[..., None] * d.astype(x.dtype, copy=False),)
 
     return _finish(out, (logits,), rule)
 

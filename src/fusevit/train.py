@@ -17,7 +17,7 @@ import numpy as np
 from .data import AugmentConfig, ImageSet, SynthDataset, augment
 from .errors import ConfigError, NumericError
 from .model import FuseVitModel
-from .tensor import Tape, Tensor, add, cross_entropy, scale
+from .tensor import Tape, Tensor, cross_entropy, scale, sum_all
 
 CSV_HEADER = "step,lr,loss,acc"
 
@@ -129,31 +129,32 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
         lr = cosine_lr(step, cfg.total_steps, cfg.lr0)
         idx = sampler.next_batch()
         model.zero_grad()
-        correct = 0
         try:
             with Tape() as tape:
-                loss = None
-                for i in idx:
-                    img = augment(dataset.train.images[i], cfg.augment,
-                                  augment_rng, train=True)
-                    label = int(dataset.train.labels[i])
-                    result = model.forward(Tensor(img, dtype=model.dtype))
-                    item_loss = cross_entropy(result.logits, label)
-                    loss = item_loss if loss is None else add(loss, item_loss)
-                    if int(np.argmax(result.logits.data)) == label:
-                        correct += 1
-                loss = scale(loss, 1.0 / len(idx))
+                # augment in batch order so the RNG draws follow the images
+                images = np.stack([augment(dataset.train.images[i], cfg.augment,
+                                           augment_rng, train=True) for i in idx])
+                labels = dataset.train.labels[idx]
+                result = model.forward(Tensor(images, dtype=model.dtype))
+                loss = scale(sum_all(cross_entropy(result.logits, labels)), 1.0 / len(idx))
                 loss_value = float(loss.data)
                 if not np.isfinite(loss_value):
                     raise NumericError("non-finite loss")
                 tape.backward(loss)
         except NumericError as exc:
             raise NumericError(f"{exc} at step {step}") from exc
+        correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
 
         grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
                  for _, p in named]
-        new_params, velocities = sgd_step(
-            [p.data for _, p in named], grads, velocities, lr, cfg.momentum)
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_params, velocities = sgd_step(
+                [p.data for _, p in named], grads, velocities, lr, cfg.momentum)
+        # a non-finite gradient always makes its new parameter non-finite
+        for (name, _), grad, arr in zip(named, grads, new_params):
+            if not np.isfinite(arr).all():
+                what = "parameter" if np.isfinite(grad).all() else "gradient of"
+                raise NumericError(f"non-finite {what} {name} at step {step}")
         for (_, p), arr in zip(named, new_params):
             p.data = arr
 

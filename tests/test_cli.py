@@ -184,6 +184,18 @@ class TestTrain:
             outs.append((out / "train_log.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_overflowing_step_is_numeric_error(self, tmp_path, capsys):
+        ds = gen_dataset(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run_cli("train", "--dataset", str(ds), "--out", str(out),
+                       *TINY_MODEL, "--steps", "1", "--batch", "2", "--lr", "1e300")
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        assert "at step 0" in err[0]
+        assert not (out / "checkpoint").exists()
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run_cli("train", "--dataset", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "run")) == 1
@@ -270,14 +282,18 @@ class TestGradcheckCommand:
         from fusevit.tensor import Tensor, _finish, ShapeError
 
         def broken_matmul(a, b):
-            if (a.ndim < 2 or a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2]
-                    or a.shape[-1] != b.shape[-2]):
+            if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+                    or b.ndim > 2 and (a.ndim != b.ndim or a.shape[:-2] != b.shape[:-2])):
                 raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
             out = Tensor._wrap(a.data @ b.data)
 
             def rule(g):
                 # wrong sign for input a
-                return -g @ np.swapaxes(b.data, -1, -2), np.swapaxes(a.data, -1, -2) @ g
+                if b.ndim == 2:
+                    gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                else:
+                    gb = np.swapaxes(a.data, -1, -2) @ g
+                return -g @ np.swapaxes(b.data, -1, -2), gb
 
             return _finish(out, (a, b), rule)
 
@@ -365,6 +381,19 @@ class TestManifestBoundary:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert err == [f"error: no FTZ file at {tmp_path / which / name}"]
+
+    @pytest.mark.parametrize("which, name", [("ds", "train_00001.ftz"),
+                                             ("checkpoint", "layer.2.mlp.w1.ftz")])
+    def test_truncated_file_error_names_the_file(self, which, name, trained, tmp_path,
+                                                  capsys):
+        ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
+        path = tmp_path / which / name
+        path.write_bytes(path.read_bytes()[:-8])
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: payload holds"), err
 
     def test_wrongly_typed_config_file_value_reports_one_error_line(
             self, trained, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
 from fusevit.encoder import AttentionRecord, EncoderTrace, LN_EPS, ModelConfig
@@ -12,8 +13,8 @@ from fusevit.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from fusevit.selector import SelectionResult, maws, select_per_layer
-from fusevit.tensor import Tape, Tensor, cross_entropy
+from fusevit.selector import REGISTRY, SelectionResult, maws, select_per_layer
+from fusevit.tensor import Tape, Tensor, cross_entropy, scale, sum_all
 
 
 def t64(data):
@@ -220,8 +221,9 @@ class TestForwardPasses:
 
     def test_wrong_image_shape_rejected(self):
         model = FuseVitModel.build(toy_cfg())
-        with pytest.raises(Exception, match="shape"):
-            model.forward(np.zeros((16, 16, 1), dtype=np.float32))
+        for shape in [(16, 16, 1), (2, 16, 16, 1), (32, 32), (1, 2, 32, 32, 1)]:
+            with pytest.raises(Exception, match="shape"):
+                model.forward(np.zeros(shape, dtype=np.float32))
 
 
 class TestGradientFlow:
@@ -246,6 +248,64 @@ class TestGradientFlow:
         result = model.forward(image, frozen_selections=forced)
         assert [s.indices for s in result.selections] == \
                [list(reversed(s.indices)) for s in frozen]
+
+
+def stacked(values):
+    return np.stack([np.asarray(v, dtype=np.float64) for v in values])
+
+
+class TestBatchedForward:
+    """A stack of images runs as one batch and equals the per-image forwards."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 3]),
+           selector=st.sampled_from(sorted(REGISTRY)))
+    def test_batched_equals_stacked_per_image_f64(self, seed, batch, selector):
+        model = FuseVitModel.build(toy_cfg(selector), dtype=np.float64)
+        images = np.random.default_rng(seed).uniform(0, 1, (batch, 32, 32, 1))
+        got = model.forward(images)
+        singles = [model.forward(image) for image in images]
+
+        def close(a, values):
+            np.testing.assert_allclose(a, stacked(values), rtol=0, atol=1e-10)
+
+        assert got.logits.shape == (batch, 5)
+        close(got.logits.data, [s.logits.data for s in singles])
+        for layer, (record, sel) in enumerate(zip(got.trace.attention, got.selections)):
+            close(record.scores.data, [s.trace.attention[layer].scores.data for s in singles])
+            assert sel.indices.shape == (batch, model.cfg.k)
+            assert sel.indices.tolist() == [s.selections[layer].indices for s in singles]
+            close(sel.weights, [s.selections[layer].weights for s in singles])
+        close(got.fused.tokens.data, [s.fused.tokens.data for s in singles])
+        assert got.fused.provenance == [s.fused.provenance for s in singles]
+
+    @pytest.mark.parametrize("selector", sorted(REGISTRY))
+    def test_batched_indices_exact_in_f32(self, selector):
+        model = FuseVitModel.build(toy_cfg(selector))
+        images = np.random.default_rng(30).uniform(0, 1, (3, 32, 32, 1)).astype(np.float32)
+        got = model.forward(images)
+        for layer, sel in enumerate(got.selections):
+            assert sel.indices.tolist() == [model.forward(image).selections[layer].indices
+                                            for image in images]
+
+    def test_batched_mean_loss_gradient_is_mean_of_per_image_gradients(self):
+        model = FuseVitModel.build(toy_cfg("maws"), dtype=np.float64)
+        rng = np.random.default_rng(31)
+        images = rng.uniform(0, 1, (3, 32, 32, 1))
+        labels = np.array([0, 3, 3])
+        with Tape() as tape:
+            losses = cross_entropy(model.forward(images).logits, labels)
+            tape.backward(scale(sum_all(losses), 1.0 / 3))
+        batched = {name: p.grad.copy() for name, p in model.named_parameters()}
+        mean = {name: np.zeros_like(p.data) for name, p in model.named_parameters()}
+        for image, label in zip(images, labels):
+            model.zero_grad()
+            with Tape() as tape:
+                tape.backward(cross_entropy(model.forward(image).logits, int(label)))
+            for name, p in model.named_parameters():
+                mean[name] += p.grad / 3
+        for name, grad in batched.items():
+            np.testing.assert_allclose(grad, mean[name], rtol=0, atol=1e-10, err_msg=name)
 
 
 class TestCheckpoint:

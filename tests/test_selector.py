@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fusevit.encoder import AttentionRecord, EncoderTrace
 from fusevit.errors import ConfigError
 from fusevit.selector import (
+    REGISTRY,
     SelectionResult,
     maws,
     saws,
@@ -205,3 +206,20 @@ def test_trace_export_format():
     first = json.loads(lines[0])
     assert first == {"layer": 1, "kind": "MAWS", "indices": [3, 1],
                      "weights": [0.5, 0.25]}
+
+
+@pytest.mark.parametrize("kind", sorted(REGISTRY))
+def test_stack_of_score_matrices_equals_each_matrix(kind):
+    rng = np.random.default_rng(9)
+    scores = rng.standard_normal((3, 2, 7, 7))
+    scores[0, 1, 0, 1:4] = scores[0, 1, 0, 5]    # ties in the class-token row
+    scores[2, 0] = 0.0                           # all tied
+    got = REGISTRY[kind](scores, 3, 2)
+    assert got.layer_index == 2
+    assert got.indices.shape == got.weights.shape == (3, 2, 3)
+    for i in range(3):
+        for j in range(2):
+            one = REGISTRY[kind](scores[i, j], 3, 2)
+            assert got.indices[i, j].tolist() == one.indices
+            assert got.weights[i, j].tolist() == one.weights
+            assert all(type(x) is int for x in one.indices)

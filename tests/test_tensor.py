@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from fusevit import tensor as T
-from fusevit.errors import NumericError, OracleError, ShapeError, TapeError
+from fusevit.errors import ConfigError, NumericError, OracleError, ShapeError, TapeError
 from fusevit.tensor import (
     Tape,
     Tensor,
     add,
     backward,
+    concat_rows,
     cross_entropy,
     finite_diff_check,
+    gather_rows,
     gelu,
     layer_norm,
     matmul,
@@ -93,8 +95,28 @@ class TestMatmul:
         for i in range(3):
             assert np.array_equal(out[i], matmul(t64(a[i]), t64(b[i])).data)
 
+    def test_stack_times_shared_matrix_equals_each_slice_product(self):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((2, 3, 2, 4))
+        b = rng.standard_normal((4, 5))
+        out = matmul(t64(a), t64(b)).data
+        assert out.shape == (2, 3, 2, 5)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], a[i, j] @ b)
+
+    def test_shared_matrix_gradient_sums_over_slices(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 2, 4))
+        b = t64(rng.standard_normal((4, 5)), requires_grad=True)
+        w = rng.standard_normal((3, 2, 5))
+        with Tape() as tape:
+            tape.backward(sum_all(mul(matmul(t64(a), b), t64(w))))
+        expected = sum(a[i].T @ w[i] for i in range(3))
+        assert np.allclose(b.grad, expected, atol=1e-12)
+
     @pytest.mark.parametrize("a_shape, b_shape", [
-        ((2, 3, 4), (4, 5)),        # no broadcasting of a matrix over a stack
+        ((2, 3, 4), (5, 6)),        # a shared matrix must match the inner width
         ((2, 3, 4), (3, 4, 5)),     # leading axes must be equal
         ((4,), (4, 5)),             # vectors are not matrices
     ])
@@ -219,10 +241,31 @@ class TestCrossEntropy:
         assert loss.item() < 1e-12
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError):
             cross_entropy(t64([0.0, 0.0]), 2)
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigError):
             cross_entropy(t64([0.0, 0.0]), -1)
+        with pytest.raises(ConfigError):
+            cross_entropy(t64(np.zeros((3, 2))), np.array([0, 2, 1]))
+
+    def test_batched_losses_equal_per_row_losses(self):
+        rng = np.random.default_rng(6)
+        logits = rng.standard_normal((2, 3, 5))
+        labels = rng.integers(0, 5, (2, 3))
+        out = cross_entropy(t64(logits), labels).data
+        assert out.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert out[i, j] == cross_entropy(t64(logits[i, j]), labels[i, j]).data
+
+    @pytest.mark.parametrize("logits_shape, labels", [
+        ((3, 5), [0, 1]),           # one label per row
+        ((5,), [0]),                # a vector takes a scalar label
+        ((3, 5), [0.0, 1.0, 2.0]),  # labels are integers
+    ])
+    def test_label_shape_and_type_checked(self, logits_shape, labels):
+        with pytest.raises((ShapeError, ConfigError)):
+            cross_entropy(t64(np.zeros(logits_shape)), np.array(labels))
 
     def test_gradient_matches_finite_differences(self):
         err = finite_diff_check(lambda x: cross_entropy(x, 1), t64([1.0, 2.0, 3.0]))
@@ -257,6 +300,18 @@ class TestBackward:
         with Tape() as tape:
             tape.backward(sum_all(add(x, x)))
         assert np.allclose(x.grad, 2.0)
+
+    def test_shared_partials_do_not_alias_buffers(self):
+        # add hands both inputs its incoming gradient; the buffers made from it
+        # must stay separate when one of them later receives more
+        a = t64([1.0, 2.0], requires_grad=True)
+        b = t64([3.0, 4.0], requires_grad=True)
+        with Tape() as tape:
+            s = add(a, b)
+            tape.backward(sum_all(mul(add(s, a), t64([1.0, 10.0]))))
+        assert np.array_equal(a.grad, [2.0, 20.0])
+        assert np.array_equal(b.grad, [1.0, 10.0])
+        assert np.array_equal(s.grad, [1.0, 10.0])
 
     def test_unreachable_tensor_gets_zero(self):
         x = t64([1.0], requires_grad=True)
@@ -361,10 +416,29 @@ def _probe_ops(rng):
     b3 = rt(batch, inner, cols)
     w3 = rt(batch, rows, cols)
     w_tr = rt(cols, batch, rows)
-    return probes + [
+    probes += [
         ("matmul.batched", lambda t: sum_all(mul(matmul(t, b3), w3)),
          rt(batch, rows, inner)),
         ("transpose.axes", lambda t: sum_all(mul(transpose(t, (2, 0, 1)), w_tr)),
+         rt(batch, rows, cols)),
+    ]
+    # the batch-axis forms draw after those, for the same reason
+    a3 = rt(batch, rows, inner)
+    x3 = rt(batch, rows, cols)
+    w_cat = rt(batch, 2 * rows, cols)
+    picks = rng.integers(0, rows, (batch, inner))
+    w_g = rt(batch, inner, cols)
+    labels = rng.integers(0, cols, (batch, rows))
+    return probes + [
+        ("matmul.shared.a", lambda t: sum_all(mul(matmul(t, b), w3)),
+         rt(batch, rows, inner)),
+        ("matmul.shared.b", lambda t: sum_all(mul(matmul(a3, t), w3)), rt(inner, cols)),
+        ("add.suffix", lambda t: sum_all(mul(add(x3, t), w3)), rt(rows, cols)),
+        ("concat_rows.stack", lambda t: sum_all(mul(concat_rows([t, x3]), w_cat)),
+         rt(batch, rows, cols)),
+        ("gather_rows.stack", lambda t: sum_all(mul(gather_rows(t, picks), w_g)),
+         rt(batch, rows, cols)),
+        ("cross_entropy.batched", lambda t: sum_all(cross_entropy(t, labels)),
          rt(batch, rows, cols)),
     ]
 

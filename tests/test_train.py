@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from fusevit.data import AugmentConfig, ImageSet, generate_synth, SynthSpec
+from fusevit.data import AugmentConfig, ImageSet, augment, generate_synth, SynthSpec
 from fusevit.encoder import ModelConfig
-from fusevit.errors import ConfigError
+from fusevit.errors import ConfigError, NumericError
 from fusevit.model import FuseVitModel
+from fusevit.tensor import cross_entropy
 from fusevit.train import (
     TrainConfig,
     cosine_lr,
@@ -144,6 +145,46 @@ class TestTrainLoop:
         train(model, ds, tcfg)
         report = evaluate(model, ds.train, 5, tcfg.augment)
         assert report.accuracy == 1.0
+
+
+    def test_overflowing_step_raises_before_assigning(self):
+        model, ds, tcfg = tiny_setup(steps=1)
+        tcfg.lr0 = 1e300
+        before = {n: p.data.copy() for n, p in model.named_parameters()}
+        with pytest.raises(NumericError, match=r"non-finite .* at step 0"):
+            train(model, ds, tcfg)
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, before[name]), name
+
+    def test_one_forward_call_per_step(self, monkeypatch):
+        model, ds, tcfg = tiny_setup(steps=3)
+        shapes = []
+        forward = model.forward
+
+        def counting_forward(image, *args, **kwargs):
+            shapes.append(np.shape(getattr(image, "data", image)))
+            return forward(image, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting_forward)
+        train(model, ds, tcfg)
+        assert shapes == [(tcfg.batch_size, 16, 16, 1)] * tcfg.total_steps
+
+    def test_step_matches_per_image_loss_and_accuracy(self):
+        # the batched step's first row equals the mean of per-image losses
+        model, ds, tcfg = tiny_setup(steps=1)
+        fresh, _, _ = tiny_setup(steps=1)
+        row = train(model, ds, tcfg).rows[0]
+        sampler_rng = np.random.default_rng(np.random.SeedSequence(tcfg.seed, spawn_key=(1,)))
+        augment_rng = np.random.default_rng(np.random.SeedSequence(tcfg.seed, spawn_key=(2,)))
+        idx = sampler_rng.permutation(len(ds.train)).tolist()[:tcfg.batch_size]
+        losses, correct = [], 0
+        for i in idx:
+            img = augment(ds.train.images[i], tcfg.augment, augment_rng, train=True)
+            logits = fresh.forward(img).logits
+            losses.append(float(cross_entropy(logits, int(ds.train.labels[i])).data))
+            correct += int(np.argmax(logits.data)) == int(ds.train.labels[i])
+        assert row.loss == pytest.approx(np.mean(losses), rel=1e-6)
+        assert row.acc == correct / len(idx)
 
 
 class _OneHotOracle:
