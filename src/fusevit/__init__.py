@@ -34,13 +34,11 @@ from .selector import SelectionResult, maws, saws, select_per_layer
 from .tensor import (
     Tape,
     Tensor,
-    backward,
     cross_entropy,
     finite_diff_check,
     gelu,
     layer_norm,
     matmul,
-    precision,
     softmax,
 )
 from .train import TrainConfig, cosine_lr, evaluate, sgd_step, train
@@ -52,10 +50,10 @@ __all__ = [
     "EncoderTrace", "ForwardResult", "FuseVitModel", "FusedSequence",
     "ImageSet", "ModelConfig", "PatchEmbedding", "SelectionResult",
     "SynthDataset", "SynthSpec", "Tape", "Tensor", "TrainConfig",
-    "augment", "backward", "cosine_lr", "cross_entropy", "embed",
+    "augment", "cosine_lr", "cross_entropy", "embed",
     "encoder_layer", "evaluate", "finite_diff_check",
     "forward_collect", "fuse", "gelu", "generate_synth",
     "layer_norm", "load_checkpoint", "matmul", "maws", "msa", "patchify",
-    "precision", "save_checkpoint", "saws",
+    "save_checkpoint", "saws",
     "select_per_layer", "sgd_step", "softmax", "train",
 ]

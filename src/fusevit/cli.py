@@ -24,7 +24,7 @@ from .gradcheck import format_report, run_suite
 from .model import FuseVitModel, load_checkpoint, save_checkpoint
 from .selector import REGISTRY, write_selection_trace
 from .tensor import Tensor, cross_entropy
-from .train import TrainConfig, evaluate, train
+from .train import TrainConfig, chunk_size, evaluate, train
 
 COMPARE_HEADER = "variant,test_acc,train_acc,steps"
 
@@ -232,10 +232,14 @@ def cmd_eval(cfg: RunConfig) -> int:
 
 
 def _plain_mean_loss(model: FuseVitModel, images, labels) -> float:
+    """Mean plain-forward loss over stacks of ``chunk_size`` images, added in
+    image order."""
     total = 0.0
-    for img, label in zip(images, labels):
-        logits = model.plain_forward(Tensor(img, dtype=model.dtype))
-        total += float(cross_entropy(logits, int(label)).data)
+    step = chunk_size(model.cfg)
+    for lo in range(0, len(labels), step):
+        logits = model.plain_forward(Tensor(images[lo:lo + step], dtype=model.dtype))
+        for loss in cross_entropy(logits, labels[lo:lo + step]).data.tolist():
+            total += loss
     return total / len(labels)
 
 

@@ -41,6 +41,8 @@ class SynthSpec:
                      "image_size", "signal_patch_count"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 < self.signal_amplitude <= 1.0:
             raise ConfigError(
                 f"signal_amplitude must be in (0, 1], got {self.signal_amplitude}")

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .encoder import ModelConfig
+from .errors import ConfigError
 from .model import FuseVitModel
 from .tensor import Tape, Tensor, finite_diff_check
 
@@ -38,9 +39,15 @@ def _t(rng, *shape) -> Tensor:
     return Tensor(rng.standard_normal(shape), dtype=np.float64)
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def op_checks(seed: int = 0) -> list[CheckResult]:
     """One finite-difference probe per differentiable op and input slot."""
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     w_cache: dict[tuple[int, ...], Tensor] = {}
 
     def weight(shape) -> Tensor:
@@ -135,8 +142,8 @@ def toy_config(selector: str = "maws") -> ModelConfig:
 def end_to_end_check(seed: int = 0, h: float = 3e-5) -> list[CheckResult]:
     """Perturb every parameter coordinate of the toy model, indices frozen."""
     cfg = toy_config()
+    rng = _rng(seed)
     model = FuseVitModel.build(cfg, dtype=np.float64)
-    rng = np.random.default_rng(seed)
     image = Tensor(rng.uniform(0.0, 1.0, size=(cfg.image_h, cfg.image_w, cfg.channels)),
                    dtype=np.float64)
     label = 1

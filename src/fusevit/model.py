@@ -251,10 +251,6 @@ class FuseVitModel:
             z, _ = encoder_layer(z, layer, cfg.heads, layer_index=i)
         return self._classify(z)
 
-    def predict_logits(self, image) -> np.ndarray:
-        """Inference-only logits (never recorded on a tape)."""
-        return self.forward(image).logits.data
-
 
 # ---- checkpoints -------------------------------------------------------------
 

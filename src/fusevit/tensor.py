@@ -2,8 +2,8 @@
 
 Values are numpy arrays (float32 for training, float64 for verification)
 stored row-major. Operations executed inside a ``with Tape():`` block are
-recorded together with a backward rule; ``backward(loss)`` replays the tape
-in reverse and accumulates gradients into ``Tensor.grad`` buffers.
+recorded together with a backward rule; ``Tape.backward(loss)`` replays the
+tape in reverse and accumulates gradients into ``Tensor.grad`` buffers.
 
 Gradients add across fan-out and across repeated backward calls on fresh
 tapes; callers zero them between optimizer steps. A tape can be replayed
@@ -21,42 +21,9 @@ from scipy.special import erf
 from .errors import NumericError, OracleError, ShapeError, TapeError, ConfigError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
-_default_dtype = np.float32
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-class precision:
-    """Context manager switching the default storage dtype.
-
-    ``with precision("f64"): ...`` puts all tensors created without an
-    explicit dtype into 64-bit mode, which the gradient oracles rely on.
-    """
-
-    _names = {"f32": np.float32, "f64": np.float64}
-
-    def __init__(self, dtype):
-        if isinstance(dtype, str):
-            if dtype not in self._names:
-                raise ConfigError(f"unknown precision {dtype!r}, expected 'f32' or 'f64'")
-            dtype = self._names[dtype]
-        dtype = np.dtype(dtype).type
-        if dtype not in _FLOAT_DTYPES:
-            raise ConfigError(f"unsupported dtype {dtype}")
-        self._dtype = dtype
-        self._saved = None
-
-    def __enter__(self):
-        global _default_dtype
-        self._saved = _default_dtype
-        _default_dtype = self._dtype
-        return self
-
-    def __exit__(self, *exc):
-        global _default_dtype
-        _default_dtype = self._saved
-        return False
 
 
 class Tensor:
@@ -71,9 +38,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
+        arr = np.asarray(data, dtype=dtype if dtype is not None else np.float32)
         if arr.dtype.type not in _FLOAT_DTYPES:
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float32)
         arr = np.ascontiguousarray(arr)
         if not np.isfinite(arr).all():
             raise NumericError("tensor holds non-finite values")
@@ -206,13 +173,6 @@ def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
         out._tape = tape
         tape._records.append(_Record(out, inputs, backward_rule))
     return out
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from a scalar loss to all leaves."""
-    if loss._tape is None:
-        raise TapeError("loss was not produced under an active tape")
-    loss._tape.backward(loss)
 
 
 # ---- primitive operations ------------------------------------------------

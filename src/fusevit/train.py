@@ -15,11 +15,15 @@ from typing import Sequence
 import numpy as np
 
 from .data import AugmentConfig, ImageSet, SynthDataset, augment
+from .encoder import ModelConfig
 from .errors import ConfigError, NumericError
 from .model import FuseVitModel
 from .tensor import Tape, Tensor, cross_entropy, scale, sum_all
 
 CSV_HEADER = "step,lr,loss,acc"
+# attention scores in one inference chunk's (B, heads, S, S) stack: 64 MB in
+# f32, so a desk test split is one chunk and a paper-shape chunk 2 images
+CHUNK_SCORES = 2**24
 
 
 @dataclass
@@ -163,6 +167,11 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
     return log
 
 
+def chunk_size(cfg: ModelConfig) -> int:
+    """Images per inference stack for a model of this shape."""
+    return max(1, CHUNK_SCORES // (cfg.heads * cfg.seq_len ** 2))
+
+
 @dataclass
 class EvalReport:
     accuracy: float
@@ -173,24 +182,31 @@ class EvalReport:
 
 def evaluate(model, image_set: ImageSet, num_classes: int,
              aug: AugmentConfig | None = None) -> EvalReport:
-    """Center-crop evaluation; argmax ties go to the lowest index."""
+    """Center-crop evaluation in stacks of ``chunk_size`` images, one
+    ``model.forward`` per stack.
+
+    Each image's float64 loss is added in image order, so the report does not
+    depend on the chunking; argmax ties go to the lowest index.
+    """
     if len(image_set) == 0:
         raise ConfigError("cannot evaluate on an empty dataset")
     correct = np.zeros(num_classes, dtype=np.int64)
     totals = np.zeros(num_classes, dtype=np.int64)
     loss_sum = 0.0
-    for i in range(len(image_set)):
-        img = image_set.images[i]
+    step = chunk_size(model.cfg)
+    for lo in range(0, len(image_set), step):
+        images = image_set.images[lo:lo + step]
         if aug is not None:
-            img = augment(img, aug, rng=None, train=False)
-        label = int(image_set.labels[i])
-        logits = np.asarray(model.predict_logits(img), dtype=np.float64)
-        probs_max = logits.max()
-        loss_sum += float(np.log(np.exp(logits - probs_max).sum()) + probs_max
-                          - logits[label])
-        totals[label] += 1
-        if int(np.argmax(logits)) == label:
-            correct[label] += 1
+            images = np.stack([augment(img, aug, rng=None, train=False) for img in images])
+        labels = image_set.labels[lo:lo + step]
+        logits = np.asarray(model.forward(images).logits.data, dtype=np.float64)
+        top = logits.max(axis=-1)
+        losses = (np.log(np.exp(logits - top[:, None]).sum(axis=-1)) + top
+                  - logits[np.arange(len(labels)), labels])
+        for loss in losses.tolist():
+            loss_sum += loss
+        np.add.at(totals, labels, 1)
+        np.add.at(correct, labels[np.argmax(logits, axis=-1) == labels], 1)
     per_class = [float(c) / t if t else 0.0 for c, t in zip(correct, totals)]
     return EvalReport(
         accuracy=float(correct.sum()) / float(totals.sum()),

@@ -10,6 +10,7 @@ import pytest
 
 from fusevit import ftz
 from fusevit.cli import RunConfig, build_parser, main
+from fusevit.gradcheck import end_to_end_check, op_checks
 from fusevit.selector import REGISTRY, maws
 from fusevit.errors import ConfigError
 
@@ -312,6 +313,18 @@ class TestExitCodes:
 
     def test_unknown_flag_is_one(self):
         assert run_cli("gen", "--frobnicate") == 1
+
+    @pytest.mark.parametrize("command", ["gen", "gradcheck"])
+    def test_negative_seed_is_one_error_line(self, tmp_path, capsys, command):
+        assert run_cli(command, "--seed", "-1", "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("check", [op_checks, end_to_end_check])
+    def test_gradcheck_suites_reject_negative_seed(self, check):
+        with pytest.raises(ConfigError, match="seed"):
+            check(-1)
 
 
 def edited(change):

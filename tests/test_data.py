@@ -35,6 +35,10 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             small_spec(noise_std=-0.1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            small_spec(seed=-1)
+
     def test_too_many_signal_patches_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(signal_patch_count=SIGNAL_GRID * SIGNAL_GRID + 1)

@@ -207,8 +207,8 @@ class TestForwardPasses:
         model = FuseVitModel.build(toy_cfg())
         rng = np.random.default_rng(14)
         image = rng.uniform(0, 1, (32, 32, 1)).astype(np.float32)
-        a = model.predict_logits(image)
-        b = model.predict_logits(image)
+        a = model.forward(image).logits.data
+        b = model.forward(image).logits.data
         assert np.array_equal(a, b)
 
     def test_selected_indices_come_from_recorded_scores(self):
@@ -255,7 +255,8 @@ def stacked(values):
 
 
 class TestBatchedForward:
-    """A stack of images runs as one batch and equals the per-image forwards."""
+    """A stack of images runs as one batch and equals the per-image forwards,
+    fused and plain."""
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 3]),
@@ -278,6 +279,9 @@ class TestBatchedForward:
             close(sel.weights, [s.selections[layer].weights for s in singles])
         close(got.fused.tokens.data, [s.fused.tokens.data for s in singles])
         assert got.fused.provenance == [s.fused.provenance for s in singles]
+        plain = model.plain_forward(images)
+        assert plain.shape == (batch, 5)
+        close(plain.data, [model.plain_forward(image).data for image in images])
 
     @pytest.mark.parametrize("selector", sorted(REGISTRY))
     def test_batched_indices_exact_in_f32(self, selector):
@@ -313,14 +317,14 @@ class TestCheckpoint:
         model = FuseVitModel.build(toy_cfg("saws"))
         rng = np.random.default_rng(18)
         image = rng.uniform(0, 1, (32, 32, 1)).astype(np.float32)
-        before = model.predict_logits(image)
+        before = model.forward(image).logits.data
         save_checkpoint(model, tmp_path / "ckpt")
         loaded = load_checkpoint(tmp_path / "ckpt")
         assert loaded.cfg == model.cfg
         for (name, a), (_, b) in zip(model.named_parameters(),
                                      loaded.named_parameters()):
             assert np.array_equal(a.data, b.data), name
-        assert np.array_equal(loaded.predict_logits(image), before)
+        assert np.array_equal(loaded.forward(image).logits.data, before)
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="manifest"):

@@ -9,7 +9,6 @@ from fusevit.tensor import (
     Tape,
     Tensor,
     add,
-    backward,
     concat_rows,
     cross_entropy,
     finite_diff_check,
@@ -18,7 +17,6 @@ from fusevit.tensor import (
     layer_norm,
     matmul,
     mul,
-    precision,
     reshape,
     softmax,
     sum_all,
@@ -37,11 +35,6 @@ class TestTensorBasics:
         assert t.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_default_dtype_is_f32(self):
-        assert Tensor([1.0]).dtype == np.float32
-
-    def test_precision_context_switches_to_f64(self):
-        with precision("f64"):
-            assert Tensor([1.0]).dtype == np.float64
         assert Tensor([1.0]).dtype == np.float32
 
     def test_non_finite_construction_rejected(self):
@@ -340,7 +333,7 @@ class TestBackward:
     def test_loss_without_tape_rejected(self):
         loss = sum_all(t64([1.0]))
         with pytest.raises(TapeError):
-            backward(loss)
+            Tape().backward(loss)
 
     def test_grads_accumulate_until_zeroed(self):
         x = t64([1.0], requires_grad=True)

@@ -1,22 +1,30 @@
 """Optimizer pieces, the training loop, and evaluation."""
 
+import importlib
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from fusevit.cli import _plain_mean_loss
 from fusevit.data import AugmentConfig, ImageSet, augment, generate_synth, SynthSpec
 from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError
 from fusevit.model import FuseVitModel
-from fusevit.tensor import cross_entropy
+from fusevit.selector import REGISTRY
+from fusevit.tensor import Tensor, cross_entropy
 from fusevit.train import (
+    EvalReport,
     TrainConfig,
+    chunk_size,
     cosine_lr,
     evaluate,
     sgd_step,
     train,
 )
+
+train_module = importlib.import_module("fusevit.train")
 
 
 class TestCosineLr:
@@ -187,19 +195,26 @@ class TestTrainLoop:
         assert row.acc == correct / len(idx)
 
 
+def _logits_result(logits):
+    """What evaluate reads of a ``ForwardResult``: ``logits.data``."""
+    return SimpleNamespace(logits=SimpleNamespace(data=logits))
+
+
 class _OneHotOracle:
-    """Stub model that always answers with the true class of its input."""
+    """Stub model that always answers with the true class of each input image."""
+
+    cfg = ModelConfig()
 
     def __init__(self, lookup, num_classes):
         self._lookup = lookup
         self._classes = num_classes
         self.dtype = np.float32
 
-    def predict_logits(self, image):
-        label = self._lookup[image.tobytes()]
-        logits = np.full(self._classes, -10.0, dtype=np.float64)
-        logits[label] = 10.0
-        return logits
+    def forward(self, images):
+        logits = np.full((len(images), self._classes), -10.0, dtype=np.float64)
+        for row, image in zip(logits, images):
+            row[self._lookup[image.tobytes()]] = 10.0
+        return _logits_result(logits)
 
 
 class TestEvaluate:
@@ -221,11 +236,13 @@ class TestEvaluate:
         labels = rng.integers(0, classes, n)
 
         class _RandomModel:
+            cfg = ModelConfig()
             dtype = np.float32
 
-            def predict_logits(self, image):
-                local = np.random.default_rng(abs(hash(image.tobytes())) % (2**32))
-                return local.standard_normal(classes)
+            def forward(self, images):
+                return _logits_result(np.stack([
+                    np.random.default_rng(abs(hash(image.tobytes())) % (2**32))
+                    .standard_normal(classes) for image in images]))
 
         report = evaluate(_RandomModel(), ImageSet(images, labels), classes)
         p = 1.0 / classes
@@ -249,3 +266,94 @@ class TestEvaluate:
                          np.empty(0, np.int64))
         with pytest.raises(ConfigError):
             evaluate(_OneHotOracle({}, 2), empty, 2)
+
+
+def _per_image_report(model, image_set, num_classes, aug):
+    """The evaluation oracle: one single-image forward per image, float64 loss
+    added in image order."""
+    correct = np.zeros(num_classes, dtype=np.int64)
+    totals = np.zeros(num_classes, dtype=np.int64)
+    loss_sum = 0.0
+    for img, label in zip(image_set.images, image_set.labels.tolist()):
+        if aug is not None:
+            img = augment(img, aug, rng=None, train=False)
+        logits = np.asarray(model.forward(img).logits.data, dtype=np.float64)
+        top = logits.max()
+        loss_sum += float(np.log(np.exp(logits - top).sum()) + top - logits[label])
+        totals[label] += 1
+        correct[label] += int(np.argmax(logits)) == label
+    return EvalReport(
+        accuracy=float(correct.sum()) / float(totals.sum()),
+        per_class=[float(c) / t if t else 0.0 for c, t in zip(correct, totals)],
+        class_counts=totals.tolist(),
+        mean_loss=loss_sum / len(image_set))
+
+
+# (images, images per stack): sizes around a stack of 3, then 60 images in one
+# stack of the default size, where numpy's pairwise sum would round differently
+# from the in-order sum
+STACKINGS = [(1, 3), (2, 3), (3, 3), (4, 3), (13, 3), (60, None)]
+
+
+def stack_images(monkeypatch, cfg, chunk):
+    """Make ``chunk_size(cfg)`` return ``chunk`` (None keeps the default)."""
+    if chunk is not None:
+        monkeypatch.setattr(train_module, "CHUNK_SCORES", chunk * cfg.heads * cfg.seq_len ** 2)
+    return chunk_size(cfg)
+
+
+def small_model(selector, seed=5):
+    return FuseVitModel.build(ModelConfig(
+        image_h=16, image_w=16, channels=1, patch_size=4, embed_dim=8, layers=3,
+        heads=2, mlp_dim=16, k=3, selector=selector, num_classes=3, seed=seed))
+
+
+class TestBatchedEvaluate:
+    @pytest.mark.parametrize("aug", [None, AugmentConfig(flip=True, crop_size=16,
+                                                         resize_to=20)])
+    @pytest.mark.parametrize("selector", sorted(REGISTRY))
+    @pytest.mark.parametrize("count, chunk", STACKINGS)
+    def test_equals_per_image_oracle(self, monkeypatch, count, chunk, selector, aug):
+        model = small_model(selector)
+        step = stack_images(monkeypatch, model.cfg, chunk)
+        rng = np.random.default_rng(count)
+        images = ImageSet(rng.uniform(0, 1, (count, 16, 16, 1)).astype(np.float32),
+                          rng.integers(0, 3, count))
+        expected = _per_image_report(model, images, 3, aug)
+        stacks = []
+        forward = model.forward
+
+        def counted(x):
+            stacks.append(len(x))
+            return forward(x)
+
+        model.forward = counted
+        assert evaluate(model, images, 3, aug) == expected
+        assert stacks == [min(step, count - lo) for lo in range(0, count, step)]
+
+    def test_chunk_size_from_model_shape(self):
+        # one chunk's (B, heads, S, S) score stack stays within 2**24 floats
+        assert chunk_size(ModelConfig()) >= 25
+        paper = ModelConfig(image_h=448, image_w=448, channels=3, patch_size=16,
+                            embed_dim=768, layers=12, heads=12, mlp_dim=3072, k=12)
+        assert chunk_size(paper) == 2
+        assert chunk_size(ModelConfig(image_h=2048, image_w=2048, patch_size=8,
+                                      embed_dim=32, heads=4)) == 1
+
+
+class TestPlainMeanLoss:
+    """compare's initial loss: plain forwards in stacks, summed image by image."""
+
+    @pytest.mark.parametrize("selector", sorted(REGISTRY))
+    @pytest.mark.parametrize("count, chunk", STACKINGS)
+    def test_equals_per_image_loop_bitwise(self, monkeypatch, selector, count, chunk):
+        model = small_model(selector, seed=6)
+        stack_images(monkeypatch, model.cfg, chunk)
+        rng = np.random.default_rng(count)
+        images = rng.uniform(0, 1, (count, 16, 16, 1)).astype(np.float32)
+        labels = rng.integers(0, 3, count)
+        total = 0.0
+        for image, label in zip(images, labels):
+            logits = model.plain_forward(Tensor(image, dtype=model.dtype))
+            total += float(cross_entropy(logits, int(label)).data)
+        assert _plain_mean_loss(model, images, labels) == total / count
