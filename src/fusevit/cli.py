@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,9 +71,6 @@ class RunConfig:
     image: str | None = None
     trace: bool = False
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_sources(cls, file_path: str | None, overrides: dict) -> "RunConfig":
         """defaults < config file < explicit flags."""
@@ -82,12 +79,7 @@ class RunConfig:
             path = Path(file_path)
             if not path.exists():
                 raise ConfigError(f"config file not found: {path}")
-            try:
-                loaded = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-            if not isinstance(loaded, dict):
-                raise ConfigError(f"config file {path} is not a JSON object")
+            loaded = ftz.json_object(path.read_bytes(), f"config file {path}")
             unknown = sorted(set(loaded) - set(merged))
             if unknown:
                 raise ConfigError(f"unknown config keys {unknown}")
@@ -103,14 +95,15 @@ class RunConfig:
             image_h=self.image_size, image_w=self.image_size,
             channels=self.channels, patch_size=self.patch, embed_dim=self.dim,
             layers=self.layers, heads=self.heads,
-            mlp_dim=self.mlp_dim if self.mlp_dim else 4 * self.dim,
+            mlp_dim=4 * self.dim if self.mlp_dim is None else self.mlp_dim,
             k=self.k, selector=self.selector, num_classes=num_classes,
             seed=self.seed, head_layers=self.head_layers)
 
     def train_config(self) -> TrainConfig:
+        size = self.image_size
         aug = AugmentConfig(flip=self.flip,
-                            crop_size=self.crop or self.image_size,
-                            resize_to=self.resize_to or self.image_size)
+                            crop_size=size if self.crop is None else self.crop,
+                            resize_to=size if self.resize_to is None else self.resize_to)
         return TrainConfig(lr0=self.lr, momentum=self.momentum,
                            total_steps=self.steps, batch_size=self.batch,
                            seed=self.seed, augment=aug)
@@ -221,9 +214,10 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError(
             f"checkpoint has {model.cfg.num_classes} classes, "
             f"dataset has {dataset.num_classes}")
+    size = model.cfg.image_h
     aug = AugmentConfig(flip=False,
-                        crop_size=cfg.crop or model.cfg.image_h,
-                        resize_to=cfg.resize_to or model.cfg.image_h)
+                        crop_size=size if cfg.crop is None else cfg.crop,
+                        resize_to=size if cfg.resize_to is None else cfg.resize_to)
     report = evaluate(model, dataset.test, dataset.num_classes, aug)
     print(f"test_accuracy={report.accuracy:.4f} test_mean_loss={report.mean_loss:.4f}")
     for c, (acc, n) in enumerate(zip(report.per_class, report.class_counts)):

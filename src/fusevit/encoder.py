@@ -92,10 +92,6 @@ class ModelConfig:
         return self.num_patches + 1
 
     @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
-
-    @property
     def patch_dim(self) -> int:
         return self.patch_size * self.patch_size * self.channels
 

@@ -16,6 +16,7 @@ a dataclass after ``check_types`` has checked every value's type.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import typing
 from dataclasses import fields
@@ -54,27 +55,24 @@ def loads(blob: bytes) -> np.ndarray:
     hstart = len(MAGIC) + 4
     if len(blob) < hstart + hlen:
         raise FtzError("truncated FTZ header")
-    try:
-        header = json.loads(blob[hstart:hstart + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FtzError(f"unreadable FTZ header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise FtzError(f"FTZ header must be a JSON object, got {header!r}")
+    header = json_object(blob[hstart:hstart + hlen], "FTZ header", FtzError)
     dtype_name = header.get("dtype")
-    if dtype_name not in _DTYPES:
+    if type(dtype_name) is not str or dtype_name not in _DTYPES:
         raise FtzError(f"unknown FTZ dtype {dtype_name!r}")
     shape = header.get("shape", [])
     if not isinstance(shape, list) or not all(
             type(s) is int and s >= 0 for s in shape):
         raise FtzError(f"FTZ shape must be a list of non-negative ints, got {shape!r}")
-    shape = tuple(shape)
     dtype = _DTYPES[dtype_name]
-    count = int(np.prod(shape)) if shape else 1
+    count = math.prod(shape)  # exact, where np.prod would wrap around
     payload = blob[hstart + hlen:]
     if len(payload) != count * dtype.itemsize:
         raise FtzError(
             f"payload holds {len(payload)} bytes, expected {count * dtype.itemsize}")
-    arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    try:
+        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+    except ValueError as exc:  # more axes, or a longer axis, than numpy allows
+        raise FtzError(f"FTZ shape {shape} is not a numpy array shape: {exc}") from exc
     # native byte order, writable copy
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
@@ -93,18 +91,24 @@ def read(path) -> np.ndarray:
         raise FtzError(f"{path}: {exc}") from exc
 
 
+def json_object(raw: bytes, what: str, error=ConfigError) -> dict:
+    """The JSON object that UTF-8 ``raw`` holds; anything else, however
+    malformed or deeply nested, raises ``error`` naming ``what``."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(f"{what} is not a JSON object")
+    return value
+
+
 def read_manifest(path, what: str) -> dict:
     """The JSON object in the ``manifest.json`` of a dataset or checkpoint."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"no {what} manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{what} manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{what} manifest {path} is not a JSON object")
-    return manifest
+    return json_object(path.read_bytes(), f"{what} manifest {path}")
 
 
 def build_from(cls, values, what: str):

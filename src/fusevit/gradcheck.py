@@ -163,7 +163,7 @@ def end_to_end_check(seed: int = 0, h: float = 3e-5) -> list[CheckResult]:
     results = []
     for name, param in model.named_parameters():
         start = time.perf_counter()
-        analytic = param.grad.ravel() if param.grad is not None else np.zeros(param.size)
+        analytic = param.grad.ravel() if param.grad is not None else np.zeros(param.data.size)
         worst = T._central_difference(loss_value, param.data.ravel(), analytic, h)
         results.append(CheckResult(f"end_to_end.{name}", worst, END_TO_END_TOL,
                                    time.perf_counter() - start))

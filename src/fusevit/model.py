@@ -51,22 +51,13 @@ from .tensor import (
 
 @dataclass
 class FusedSequence:
-    """Input of the final layer plus where each row came from.
+    """Input of the final layer: ``(R, D)``, or ``(B, R, D)`` for a stack.
 
-    ``provenance[r] == (layer_index, token_index)``; row 0 is always the
-    class token of the deepest collected layer. For a stack of images
-    ``provenance`` holds one such list per image.
+    Row 0 is the class token of the deepest collected layer; the rows after
+    it are each layer's selected tokens in layer order (see ``fuse``).
     """
 
     tokens: Tensor
-    provenance: list
-
-
-def _provenance(layers: list[int], tokens: np.ndarray) -> list:
-    """Pair each row's layer with its token index, one list per image."""
-    if tokens.ndim > 1:
-        return [_provenance(layers, t) for t in tokens]
-    return list(zip(layers, tokens.tolist()))
 
 
 @dataclass
@@ -92,7 +83,7 @@ class ForwardResult:
     For one image ``logits`` is ``(C,)``; for a stack ``(B, H, W, C)`` every
     field gains the batch axis: ``(B, C)`` logits, ``(B, S, D)`` hidden
     states and ``(B, S, S)`` scores in the trace, ``(B, k)`` selection
-    arrays, and one provenance list per image.
+    arrays, and ``(B, R, D)`` fused tokens.
     """
 
     logits: Tensor
@@ -125,10 +116,8 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
     if len(selections) != len(trace.hidden):
         raise TraceMismatchError(
             f"{len(selections)} selections for {len(trace.hidden)} traced layers")
-    last_index = len(trace.hidden)
-    rows = [np.zeros((*trace.hidden[-1].data.shape[:-2], 1), dtype=np.intp)]
-    parts = [gather_rows(trace.hidden[-1], rows[0])]
-    layers = [last_index]
+    cls_rows = np.zeros((*trace.hidden[-1].data.shape[:-2], 1), dtype=np.intp)
+    parts = [gather_rows(trace.hidden[-1], cls_rows)]
     for pos, sel in enumerate(selections, start=1):
         if sel.layer_index != pos:
             raise TraceMismatchError(
@@ -141,11 +130,7 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
             raise TraceMismatchError(
                 f"selected token {outside[0]} outside 1..{count - 1} at layer {pos}")
         parts.append(gather_rows(hidden, idx))
-        rows.append(idx)
-        layers += [pos] * idx.shape[-1]
-    tokens = parts[0] if len(parts) == 1 else concat_rows(parts)
-    return FusedSequence(tokens=tokens,
-                         provenance=_provenance(layers, np.concatenate(rows, axis=-1)))
+    return FusedSequence(tokens=parts[0] if len(parts) == 1 else concat_rows(parts))
 
 
 class FuseVitModel:
@@ -206,50 +191,47 @@ class FuseVitModel:
             x = add(matmul(x, w), b)
         return reshape(x, (*lead, self.cfg.num_classes))
 
+    def _encode(self, image) -> EncoderTrace:
+        """Check the image, embed its patches and run layers 1..L-1."""
+        cfg = self.cfg
+        image = self._check_image(image)
+        z0 = embed(patchify(image, cfg.patch_size), self.embedder)
+        return forward_collect(z0, self.layers[:-1], cfg.heads)
+
+    def _final(self, tokens: Tensor) -> Tensor:
+        """Layer L over ``tokens``, then the classifier head."""
+        cfg = self.cfg
+        out, _ = encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers)
+        return self._classify(out)
+
     def forward(self, image, frozen_selections: list[SelectionResult] | None = None
                 ) -> ForwardResult:
         """Full selective-fusion forward pass.
 
         ``image`` is one ``(H, W, C)`` image or a stack ``(B, H, W, C)``; a
         stack runs as one batch and every result field gains its axis (see
-        ``ForwardResult``). With selector "none" the fusion step is a
-        pass-through and the run reduces to a plain ViT. ``frozen_selections`` bypasses the selector
+        ``ForwardResult``). With selector "none" layer L reads the whole
+        layer-(L-1) sequence, so the run is ``plain_forward``; its ``first_k``
+        selections are still reported. ``frozen_selections`` bypasses the selector
         (used by gradient checks, which must hold indices fixed while
         perturbing parameters).
         """
         cfg = self.cfg
-        image = self._check_image(image)
-        patches = patchify(image, cfg.patch_size)
-        z0 = embed(patches, self.embedder)
-        trace = forward_collect(z0, self.layers[:-1], cfg.heads)
-
+        trace = self._encode(image)
         if frozen_selections is not None:
             selections = frozen_selections
         else:
             selections = select_per_layer(trace, cfg.k, cfg.selector)
         if frozen_selections is None and cfg.selector == "none":
-            last = trace.hidden[-1]
-            *lead, rows = last.data.shape[:-1]
-            tokens = np.broadcast_to(np.arange(rows), (*lead, rows))
-            fused = FusedSequence(tokens=last, provenance=_provenance(
-                [len(trace.hidden)] * rows, tokens))
+            fused = FusedSequence(tokens=trace.hidden[-1])
         else:
             fused = fuse(trace, selections)
-
-        final_tokens, _ = encoder_layer(fused.tokens, self.layers[-1], cfg.heads,
-                                        layer_index=cfg.layers)
-        logits = self._classify(final_tokens)
-        return ForwardResult(logits=logits, trace=trace, selections=selections,
-                             fused=fused)
+        return ForwardResult(logits=self._final(fused.tokens), trace=trace,
+                             selections=selections, fused=fused)
 
     def plain_forward(self, image) -> Tensor:
         """Ablation baseline: all L layers over the full token sequence."""
-        cfg = self.cfg
-        image = self._check_image(image)
-        z = embed(patchify(image, cfg.patch_size), self.embedder)
-        for i, layer in enumerate(self.layers, start=1):
-            z, _ = encoder_layer(z, layer, cfg.heads, layer_index=i)
-        return self._classify(z)
+        return self._final(self._encode(image).hidden[-1])
 
 
 # ---- checkpoints -------------------------------------------------------------

@@ -70,17 +70,8 @@ class Tensor:
         return self.data.ndim
 
     @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
     def dtype(self) -> np.dtype:
         return self.data.dtype
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError(f"item() on tensor of shape {self.shape}")
-        return float(self.data.reshape(()))
 
     def zero_grad(self) -> None:
         self.grad = None

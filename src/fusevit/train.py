@@ -94,10 +94,6 @@ class TrainLog:
     def to_csv(self, path) -> None:
         Path(path).write_text(self.csv_text())
 
-    @property
-    def losses(self) -> list[float]:
-        return [r.loss for r in self.rows]
-
 
 class _BatchSampler:
     """Deterministic shuffled batches; reshuffles when an epoch runs out."""
@@ -200,14 +196,11 @@ def evaluate(model, image_set: ImageSet, num_classes: int,
             images = np.stack([augment(img, aug, rng=None, train=False) for img in images])
         labels = image_set.labels[lo:lo + step]
         logits = np.asarray(model.forward(images).logits.data, dtype=np.float64)
-        top = logits.max(axis=-1)
-        losses = (np.log(np.exp(logits - top[:, None]).sum(axis=-1)) + top
-                  - logits[np.arange(len(labels)), labels])
-        for loss in losses.tolist():
+        for loss in cross_entropy(Tensor._wrap(logits), labels).data.tolist():
             loss_sum += loss
         np.add.at(totals, labels, 1)
         np.add.at(correct, labels[np.argmax(logits, axis=-1) == labels], 1)
-    per_class = [float(c) / t if t else 0.0 for c, t in zip(correct, totals)]
+    per_class = [c / t if t else 0.0 for c, t in zip(correct.tolist(), totals.tolist())]
     return EvalReport(
         accuracy=float(correct.sum()) / float(totals.sum()),
         per_class=per_class,

@@ -3,7 +3,7 @@
 import argparse
 import json
 import shutil
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -38,7 +38,7 @@ class TestRunConfig:
     def test_round_trips_through_json(self, tmp_path):
         cfg = RunConfig(dim=16, selector="saws", steps=42, dataset="x")
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(cfg.to_dict()))
+        path.write_text(json.dumps(asdict(cfg)))
         back = RunConfig.from_sources(str(path), {})
         assert back == cfg
 
@@ -77,6 +77,14 @@ class TestRunConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps([{"steps": 5}]))
         with pytest.raises(ConfigError, match="not a JSON object"):
+            RunConfig.from_sources(str(path), {})
+
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b'{"steps": 5\xff}'],
+                             ids=["nested-100k-deep", "not-utf8"])
+    def test_unparseable_config_file_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        with pytest.raises(ConfigError, match="not valid JSON"):
             RunConfig.from_sources(str(path), {})
 
     def test_missing_config_file_rejected(self):
@@ -200,6 +208,19 @@ class TestTrain:
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run_cli("train", "--dataset", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "run")) == 1
+
+    @pytest.mark.parametrize("flag", ["--crop", "--resize-to", "--mlp-dim"])
+    def test_zero_is_not_the_default(self, tmp_path, capsys, flag):
+        ds = gen_dataset(tmp_path)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = run_cli("train", "--dataset", str(ds), "--out", str(out),
+                       "--image-size", "16", *TINY_MODEL, *TINY_TRAIN, flag, "0")
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error:"), err
+        assert "positive" in err[0]
+        assert not out.exists()
 
 
 class TestCompare:
@@ -358,6 +379,8 @@ BAD_MANIFESTS = {
     "checkpoint-config-float-for-int": ("checkpoint", edited(lambda m: m["config"].update(k=2.0))),
     "checkpoint-params-not-string": (
         "checkpoint", edited(lambda m: m["params"].update({"embed.E": 7}))),
+    "dataset-nested-100k-deep": ("ds", lambda m: "[" * 100_000),
+    "checkpoint-nested-100k-deep": ("checkpoint", lambda m: "{\"a\":" * 100_000),
 }
 
 
@@ -407,6 +430,32 @@ class TestManifestBoundary:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {path}: payload holds"), err
+
+    @pytest.mark.parametrize("crop_flag", ["--crop", "--resize-to"])
+    def test_eval_zero_crop_reports_one_error_line(self, trained, capsys, crop_flag):
+        ds, ckpt = trained
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt),
+                       crop_flag, "0")
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert err == ["error: crop_size and resize_to must be positive"]
+
+    @pytest.mark.parametrize("header, payload", [
+        (b'{"dtype":["f32"],"shape":[16,16,1]}', b"\x00" * 1024),
+        (b'{"dtype":"f32","shape":[4294967296,4294967296]}', b""),
+        (b"[" * 100_000, b""),
+    ], ids=["list-dtype", "count-wraps-to-0", "nested-100k-deep"])
+    def test_malformed_image_reports_one_error_line(self, header, payload, trained,
+                                                    tmp_path, capsys):
+        bad = tmp_path / "bad.ftz"
+        bad.write_bytes(ftz.MAGIC + len(header).to_bytes(4, "little") + header + payload)
+        capsys.readouterr()
+        code = run_cli("inspect", "--checkpoint", str(trained[1]), "--image", str(bad),
+                       "--out", str(tmp_path / "inspect"))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: "), err
 
     def test_wrongly_typed_config_file_value_reports_one_error_line(
             self, trained, tmp_path, capsys):

@@ -5,6 +5,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusevit import ftz
 from fusevit.errors import FtzError
@@ -73,8 +74,76 @@ def test_serialization_is_deterministic():
     b'["f32",[2]]',
     b'{"dtype":"f32","shape":["a"]}',
     b'{"dtype":"f32","shape":[2.5]}',
+    b'{"dtype":["f32"],"shape":[2]}',
+    b'{"dtype":{"f32":1},"shape":[2]}',
+    b'{"dtype":"f32","shape":[2]\xff}',
+    pytest.param(b"[" * 100_000, id="nested-100k-deep"),
 ])
 def test_malformed_header_rejected(header):
     blob = b"FFVTTNSR" + struct.pack("<I", len(header)) + header + b"\x00" * 8
     with pytest.raises(FtzError):
         ftz.loads(blob)
+
+
+def ftz_blob(header: bytes, payload: bytes = b"") -> bytes:
+    return ftz.MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+@pytest.mark.parametrize("shape, payload", [
+    ([2**32, 2**32], b""),
+    ([0, 2**70], b""),
+    ([0, 2**62], b""),
+    ([1] * 70, b"\x00" * 4),
+], ids=["count-wraps-to-0", "axis-over-intp", "bytes-over-intp", "70-axes"])
+def test_shape_numpy_cannot_hold_rejected(shape, payload):
+    header = json.dumps({"dtype": "f32", "shape": shape}).encode()
+    with pytest.raises(FtzError):
+        ftz.loads(ftz_blob(header, payload))
+
+
+VALID = ftz.dumps(np.arange(6, dtype=np.float32).reshape(2, 3))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 2**70) | st.floats() | st.text(max_size=4),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["dtype", "shape", "x"]), inner,
+                                     max_size=3)),
+    max_leaves=10)
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.binary(max_size=80))
+def test_arbitrary_bytes_raise_only_ftz_error(data):
+    for blob in (data, ftz.MAGIC + data):
+        try:
+            ftz.loads(blob)
+        except FtzError:
+            pass
+
+
+@settings(max_examples=300, deadline=1000)
+@given(edits=st.lists(st.tuples(st.integers(0, len(VALID) - 1), st.integers(0, 255)),
+                      max_size=4),
+       cut=st.integers(0, len(VALID)), tail=st.binary(max_size=8))
+def test_mutated_file_raises_only_ftz_error(edits, cut, tail):
+    blob = bytearray(VALID)
+    for pos, byte in edits:
+        blob[pos] = byte
+    try:
+        ftz.loads(bytes(blob[:cut]) + tail)
+    except FtzError:
+        pass
+
+
+@settings(max_examples=300, deadline=1000)
+@given(dtype=st.sampled_from(["f32", "f64"]) | json_values,
+       shape=st.lists(st.integers(-1, 2**70) | st.sampled_from([0, 1, 2]), max_size=70)
+       | json_values,
+       payload=st.binary(max_size=32))
+def test_fuzzed_header_raises_only_ftz_error(dtype, shape, payload):
+    header = json.dumps({"dtype": dtype, "shape": shape}).encode()
+    try:
+        arr = ftz.loads(ftz_blob(header, payload))
+    except FtzError:
+        return
+    assert arr.nbytes == len(payload)

@@ -261,6 +261,18 @@ class TestEvaluate:
                        zip(report.per_class, report.class_counts))
         assert report.accuracy == pytest.approx(weighted / sum(report.class_counts))
 
+    def test_per_class_holds_plain_floats(self):
+        # two of five classes present, one image misread: seen and unseen
+        # classes alike are floats
+        images = np.random.default_rng(8).uniform(0, 1, (6, 4, 4, 1)).astype(np.float32)
+        labels = np.array([0, 0, 0, 1, 1, 1])
+        lookup = {img.tobytes(): int(label) if i else 4
+                  for i, (img, label) in enumerate(zip(images, labels))}
+        report = evaluate(_OneHotOracle(lookup, 5), ImageSet(images, labels), 5)
+        assert [type(acc) for acc in report.per_class] == [float] * 5
+        assert report.per_class == [2 / 3, 1.0, 0.0, 0.0, 0.0]
+        assert [type(n) for n in report.class_counts] == [int] * 5
+
     def test_empty_dataset_rejected(self):
         empty = ImageSet(np.empty((0, 4, 4, 1), np.float32),
                          np.empty(0, np.int64))
