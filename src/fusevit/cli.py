@@ -77,7 +77,7 @@ class RunConfig:
         merged = {f.name: f.default for f in fields(cls)}
         if file_path:
             path = Path(file_path)
-            if not path.exists():
+            if not path.is_file():
                 raise ConfigError(f"config file not found: {path}")
             loaded = ftz.json_object(path.read_bytes(), f"config file {path}")
             unknown = sorted(set(loaded) - set(merged))

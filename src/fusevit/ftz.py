@@ -106,7 +106,7 @@ def json_object(raw: bytes, what: str, error=ConfigError) -> dict:
 def read_manifest(path, what: str) -> dict:
     """The JSON object in the ``manifest.json`` of a dataset or checkpoint."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"no {what} manifest at {path}")
     return json_object(path.read_bytes(), f"{what} manifest {path}")
 

@@ -46,88 +46,54 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def op_checks(seed: int = 0) -> list[CheckResult]:
-    """One finite-difference probe per differentiable op and input slot."""
+    """One finite-difference probe per differentiable op and input slot.
+
+    Each probe draws its input ``x``, then a weight ``w`` shaped like the op's
+    output, and checks ``sum_all(mul(op(x), w))``; the random weighting makes
+    constant-sum outputs still exercise their gradients.
+    """
     rng = _rng(seed)
-    w_cache: dict[tuple[int, ...], Tensor] = {}
-
-    def weight(shape) -> Tensor:
-        # fixed random weighting so constant-sum outputs still exercise grads
-        if shape not in w_cache:
-            w_cache[shape] = _t(rng, *shape)
-        return w_cache[shape]
-
-    a6x4 = _t(rng, 6, 4)
-    b4x5 = _t(rng, 4, 5)
-    gamma = _t(rng, 4)
-    beta = _t(rng, 4)
-    logits = _t(rng, 7)
+    a6x4, b4x5, a2x6x4 = _t(rng, 6, 4), _t(rng, 4, 5), _t(rng, 2, 6, 4)
+    gamma, beta = _t(rng, 4), _t(rng, 4)
     a4x2x3 = T.reshape(a6x4, (4, 2, 3))
 
-    probes: list[tuple[str, object, Tensor]] = [
-        ("matmul.a", lambda x: T.sum_all(T.matmul(x, b4x5)), a6x4),
-        ("matmul.b", lambda x: T.sum_all(T.matmul(a6x4, x)), b4x5),
-        ("add.same", lambda x: T.sum_all(T.mul(T.add(x, a6x4), weight((6, 4)))), _t(rng, 6, 4)),
-        ("add.bias", lambda x: T.sum_all(T.mul(T.add(a6x4, x), weight((6, 4)))), _t(rng, 4)),
-    ]
-    # the two discarded draws were the inputs of the removed ``sub`` and ``shift``
-    # probes; drawing them keeps every later probe's input, and its error, as before
-    rng.standard_normal((6, 4))
-    probes += [
-        ("mul", lambda x: T.sum_all(T.mul(T.mul(x, a6x4), weight((6, 4)))), _t(rng, 6, 4)),
-        ("scale", lambda x: T.sum_all(T.mul(T.scale(x, -2.5), weight((6, 4)))), _t(rng, 6, 4)),
-    ]
-    rng.standard_normal((6, 4))
-    probes += [
-        ("transpose", lambda x: T.sum_all(T.mul(T.transpose(x), weight((4, 6)))), _t(rng, 6, 4)),
-        ("reshape", lambda x: T.sum_all(T.mul(T.reshape(x, (8, 3)), weight((8, 3)))), _t(rng, 6, 4)),
-        ("concat_rows", lambda x: T.sum_all(T.mul(T.concat_rows([x, a6x4]), weight((12, 4)))), _t(rng, 6, 4)),
-        # like the two column-op probes these replaced, each draws a 24-value
-        # input and their weights draw 60 values in all, so every later probe
-        # keeps its input, its weight and its error
-        ("matmul.batched", lambda x: T.sum_all(T.mul(T.matmul(x, a4x2x3), weight((4, 3, 3)))),
-         _t(rng, 4, 3, 2)),
-        ("transpose.axes", lambda x: T.sum_all(T.mul(T.transpose(x, (1, 2, 0)), weight((3, 4, 2)))),
-         _t(rng, 2, 3, 4)),
-        ("gather_rows", lambda x: T.sum_all(T.mul(T.gather_rows(x, [0, 2, 2, 5]), weight((4, 4)))), _t(rng, 6, 4)),
-        ("softmax.vec", lambda x: T.sum_all(T.mul(T.softmax(x), weight((7,)))), _t(rng, 7)),
-        ("softmax.rows", lambda x: T.sum_all(T.mul(T.softmax(x), weight((5, 5)))), _t(rng, 5, 5)),
-        ("layer_norm.x", lambda x: T.sum_all(T.mul(T.layer_norm(x, gamma, beta), weight((6, 4)))), _t(rng, 6, 4)),
-        ("layer_norm.gamma", lambda x: T.sum_all(T.mul(T.layer_norm(a6x4, x, beta), weight((6, 4)))), _t(rng, 4)),
-        ("layer_norm.beta", lambda x: T.sum_all(T.mul(T.layer_norm(a6x4, gamma, x), weight((6, 4)))), _t(rng, 4)),
-        ("gelu", lambda x: T.sum_all(T.mul(T.gelu(x), weight((6, 4)))), _t(rng, 6, 4)),
-        ("sum_all", lambda x: T.sum_all(x), _t(rng, 6, 4)),
-        ("cross_entropy", lambda x: T.cross_entropy(x, 3), logits),
-        ("softmax_cross_entropy", lambda x: T.cross_entropy(T.mul(x, weight((7,))), 2), _t(rng, 7)),
-    ]
-
-    results = _run_probes(probes)
-    # the batch-axis probes draw their inputs only now, after every weight the
-    # probes above drew while running, so each of those keeps its error
-    a2x6x4 = _t(rng, 2, 6, 4)
+    # (name, op of x, shape of x); each lambda looks its op up in ``T`` when
+    # called, so a replaced op is what gets checked
     probes = [
-        ("matmul.shared.a", lambda x: T.sum_all(T.mul(T.matmul(x, b4x5), weight((2, 6, 5)))),
-         _t(rng, 2, 6, 4)),
-        ("matmul.shared.b", lambda x: T.sum_all(T.mul(T.matmul(a2x6x4, x), weight((2, 6, 5)))),
-         _t(rng, 4, 5)),
-        ("add.suffix", lambda x: T.sum_all(T.mul(T.add(a2x6x4, x), weight((2, 6, 4)))),
-         _t(rng, 6, 4)),
-        ("concat_rows.stack",
-         lambda x: T.sum_all(T.mul(T.concat_rows([x, a2x6x4]), weight((2, 12, 4)))),
-         _t(rng, 2, 6, 4)),
-        ("gather_rows.stack",
-         lambda x: T.sum_all(T.mul(T.gather_rows(x, [[0, 2, 2], [5, 1, 0]]), weight((2, 3, 4)))),
-         _t(rng, 2, 6, 4)),
-        ("cross_entropy.batched", lambda x: T.sum_all(T.cross_entropy(x, np.array([3, 0]))),
-         _t(rng, 2, 7)),
+        ("matmul.a", lambda x: T.matmul(x, b4x5), (6, 4)),
+        ("matmul.b", lambda x: T.matmul(a6x4, x), (4, 5)),
+        ("add.same", lambda x: T.add(x, a6x4), (6, 4)),
+        ("add.bias", lambda x: T.add(a6x4, x), (4,)),
+        ("mul", lambda x: T.mul(x, a6x4), (6, 4)),
+        ("scale", lambda x: T.scale(x, -2.5), (6, 4)),
+        ("transpose", lambda x: T.transpose(x), (6, 4)),
+        ("reshape", lambda x: T.reshape(x, (8, 3)), (6, 4)),
+        ("concat_rows", lambda x: T.concat_rows([x, a6x4]), (6, 4)),
+        ("matmul.batched", lambda x: T.matmul(x, a4x2x3), (4, 3, 2)),
+        ("transpose.axes", lambda x: T.transpose(x, (1, 2, 0)), (2, 3, 4)),
+        ("gather_rows", lambda x: T.gather_rows(x, [0, 2, 2, 5]), (6, 4)),
+        ("softmax.vec", lambda x: T.softmax(x), (7,)),
+        ("softmax.rows", lambda x: T.softmax(x), (5, 5)),
+        ("layer_norm.x", lambda x: T.layer_norm(x, gamma, beta), (6, 4)),
+        ("layer_norm.gamma", lambda x: T.layer_norm(a6x4, x, beta), (4,)),
+        ("layer_norm.beta", lambda x: T.layer_norm(a6x4, gamma, x), (4,)),
+        ("gelu", lambda x: T.gelu(x), (6, 4)),
+        ("sum_all", lambda x: T.sum_all(x), (6, 4)),
+        ("cross_entropy", lambda x: T.cross_entropy(x, 3), (7,)),
+        ("softmax_cross_entropy", lambda x: T.cross_entropy(T.softmax(x), 2), (7,)),
+        ("matmul.shared.a", lambda x: T.matmul(x, b4x5), (2, 6, 4)),
+        ("matmul.shared.b", lambda x: T.matmul(a2x6x4, x), (4, 5)),
+        ("add.suffix", lambda x: T.add(a2x6x4, x), (6, 4)),
+        ("concat_rows.stack", lambda x: T.concat_rows([x, a2x6x4]), (2, 6, 4)),
+        ("gather_rows.stack", lambda x: T.gather_rows(x, [[0, 2, 2], [5, 1, 0]]), (2, 6, 4)),
+        ("cross_entropy.batched", lambda x: T.cross_entropy(x, np.array([3, 0])), (2, 7)),
     ]
-    return results + _run_probes(probes)
-
-
-def _run_probes(probes) -> list[CheckResult]:
     results = []
-    for name, fn, x in probes:
+    for name, op, shape in probes:
+        x = _t(rng, *shape)
+        w = _t(rng, *op(x).shape)
         start = time.perf_counter()
-        err = finite_diff_check(fn, x, h=1e-5)
+        err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v), w)), x, h=1e-5)
         results.append(CheckResult(name, err, OP_TOL, time.perf_counter() - start))
     return results
 

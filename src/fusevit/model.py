@@ -222,7 +222,7 @@ class FuseVitModel:
             selections = frozen_selections
         else:
             selections = select_per_layer(trace, cfg.k, cfg.selector)
-        if frozen_selections is None and cfg.selector == "none":
+        if cfg.selector == "none":
             fused = FusedSequence(tokens=trace.hidden[-1])
         else:
             fused = fuse(trace, selections)

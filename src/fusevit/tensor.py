@@ -38,10 +38,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else np.float32)
+        # order="C" stores the data C-contiguous and, unlike ascontiguousarray,
+        # keeps a 0-d input 0-d
+        arr = np.asarray(data, dtype=dtype if dtype is not None else np.float32, order="C")
         if arr.dtype.type not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
-        arr = np.ascontiguousarray(arr)
         if not np.isfinite(arr).all():
             raise NumericError("tensor holds non-finite values")
         self.data = arr

@@ -36,8 +36,8 @@ class TrainConfig:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        if not self.lr0 > 0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not 0 < self.lr0 < math.inf:
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.total_steps < 1:

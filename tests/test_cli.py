@@ -28,6 +28,9 @@ TINY_MODEL = ("--patch", "8", "--dim", "8", "--layers", "2", "--heads", "2",
 TINY_TRAIN = ("--steps", "3", "--batch", "2", "--lr", "0.001")
 
 
+FLOAT_FIELDS = [f.name for f in fields(RunConfig) if f.type in (float, "float")]
+
+
 def gen_dataset(tmp_path, *extra):
     out = tmp_path / "ds"
     assert run_cli("gen", *GEN_ARGS, "--out", str(out), *extra) == 0
@@ -87,9 +90,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             RunConfig.from_sources(str(path), {})
 
-    def test_missing_config_file_rejected(self):
-        with pytest.raises(ConfigError, match="not found"):
-            RunConfig.from_sources("/nonexistent/cfg.json", {})
+    def test_missing_config_file_rejected(self, tmp_path):
+        for path in ("/nonexistent/cfg.json", tmp_path):  # tmp_path is a directory
+            with pytest.raises(ConfigError, match="not found"):
+                RunConfig.from_sources(str(path), {})
 
 
 def subcommand_parsers():
@@ -326,6 +330,20 @@ class TestGradcheckCommand:
         assert "matmul.a" in failed
         assert "matmul.b" not in failed
 
+    def test_op_probe_names_and_order(self):
+        assert [r.name for r in op_checks()] == [
+            "matmul.a", "matmul.b", "add.same", "add.bias", "mul", "scale", "transpose",
+            "reshape", "concat_rows", "matmul.batched", "transpose.axes", "gather_rows",
+            "softmax.vec", "softmax.rows", "layer_norm.x", "layer_norm.gamma",
+            "layer_norm.beta", "gelu", "sum_all", "cross_entropy", "softmax_cross_entropy",
+            "matmul.shared.a", "matmul.shared.b", "add.suffix", "concat_rows.stack",
+            "gather_rows.stack", "cross_entropy.batched"]
+
+    def test_op_checks_pass_on_many_seeds(self):
+        failed = [(seed, r.name, r.max_rel_err) for seed in range(50)
+                  for r in op_checks(seed) if not r.passed]
+        assert failed == []
+
 
 class TestExitCodes:
     def test_usage_error_is_one(self):
@@ -346,6 +364,30 @@ class TestExitCodes:
     def test_gradcheck_suites_reject_negative_seed(self, check):
         with pytest.raises(ConfigError, match="seed"):
             check(-1)
+
+    @pytest.fixture(scope="class")
+    def tiny_dataset(self, tmp_path_factory):
+        return gen_dataset(tmp_path_factory.mktemp("tiny"))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    @pytest.mark.parametrize("command", ["gen", "train"])
+    def test_float_field_edge_values_end_cleanly(self, command, name, value, tiny_dataset,
+                                                 tmp_path, capsys):
+        out = tmp_path / "out"
+        flag = f"--{name.replace('_', '-')}={value}"
+        if command == "gen":
+            args = ("gen", *GEN_ARGS, "--out", str(out), flag)
+        else:
+            args = ("train", "--dataset", str(tiny_dataset), "--out", str(out), *TINY_MODEL,
+                    "--steps", "1", "--batch", "2", flag)
+        capsys.readouterr()
+        code = run_cli(*args)
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code in (0, 1)
+        if code == 1:
+            assert len(err) == 1 and err[0].startswith("error:"), err
+            assert not out.exists()
 
 
 def edited(change):
@@ -381,6 +423,9 @@ BAD_MANIFESTS = {
         "checkpoint", edited(lambda m: m["params"].update({"embed.E": 7}))),
     "dataset-nested-100k-deep": ("ds", lambda m: "[" * 100_000),
     "checkpoint-nested-100k-deep": ("checkpoint", lambda m: "{\"a\":" * 100_000),
+    # None: the manifest is replaced by a directory
+    "dataset-directory": ("ds", None),
+    "checkpoint-directory": ("checkpoint", None),
 }
 
 
@@ -399,7 +444,11 @@ class TestManifestBoundary:
         ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
         which, mutate = BAD_MANIFESTS[case]
         manifest = tmp_path / which / "manifest.json"
-        manifest.write_text(mutate(json.loads(manifest.read_text())))
+        if mutate is None:
+            manifest.unlink()
+            manifest.mkdir()
+        else:
+            manifest.write_text(mutate(json.loads(manifest.read_text())))
         capsys.readouterr()
         code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
         err = capsys.readouterr().err.strip().split("\n")

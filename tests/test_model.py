@@ -190,6 +190,16 @@ class TestForwardPasses:
         assert np.array_equal(model.forward(images).logits.data,
                               model.plain_forward(images).data)
 
+    def test_pass_through_ignores_frozen_selections(self):
+        # `none` reads the whole layer-(L-1) sequence even when its own
+        # selections are handed back frozen
+        model = FuseVitModel.build(toy_cfg("none"), dtype=np.float64)
+        rng = np.random.default_rng(13)
+        for image in (rng.uniform(0, 1, (32, 32, 1)), rng.uniform(0, 1, (3, 32, 32, 1))):
+            frozen = model.forward(image).selections
+            assert np.array_equal(model.forward(image, frozen_selections=frozen).logits.data,
+                                  model.plain_forward(image).data)
+
     def test_plain_forward_matches_oracle_with_selector_on(self):
         model = FuseVitModel.build(toy_cfg("maws"), dtype=np.float64)
         rng = np.random.default_rng(12)

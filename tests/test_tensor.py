@@ -34,6 +34,15 @@ class TestTensorBasics:
         assert t.data.flags["C_CONTIGUOUS"]
         assert t.data.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
 
+    def test_transposed_input_is_stored_row_major(self):
+        t = Tensor(np.arange(6.0).reshape(2, 3).T)
+        assert t.data.flags["C_CONTIGUOUS"]
+        assert t.data.ravel().tolist() == [0.0, 3.0, 1.0, 4.0, 2.0, 5.0]
+
+    def test_scalar_input_stays_0d(self):
+        assert Tensor(3.0).shape == ()
+        assert Tensor(np.float64(2.5), dtype=np.float64).shape == ()
+
     def test_default_dtype_is_f32(self):
         assert Tensor([1.0]).dtype == np.float32
 

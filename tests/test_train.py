@@ -1,12 +1,13 @@
 """Optimizer pieces, the training loop, and evaluation."""
 
-import importlib
+import inspect
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import fusevit.train as train_module
 from fusevit.cli import _plain_mean_loss
 from fusevit.data import AugmentConfig, ImageSet, augment, generate_synth, SynthSpec
 from fusevit.encoder import ModelConfig
@@ -24,7 +25,10 @@ from fusevit.train import (
     train,
 )
 
-train_module = importlib.import_module("fusevit.train")
+
+def test_train_is_the_module():
+    # the package re-exports nothing, so the function cannot shadow the module
+    assert inspect.ismodule(train_module)
 
 
 class TestCosineLr:
