@@ -23,14 +23,10 @@ from .errors import ConfigError, FtzError, FuseVitError, ShapeError, TraceMismat
 from .gradcheck import format_report, run_suite
 from .model import FuseVitModel, load_checkpoint, save_checkpoint
 from .selector import REGISTRY, write_selection_trace
-from .tensor import Tensor, cross_entropy
+from .tensor import cross_entropy
 from .train import TrainConfig, chunk_size, evaluate, train
 
 COMPARE_HEADER = "variant,test_acc,train_acc,steps"
-
-
-class UsageError(Exception):
-    pass
 
 
 @dataclass
@@ -123,7 +119,7 @@ class RunConfig:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise UsageError(message)
+        raise ConfigError(message)
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -143,14 +139,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="fusevit",
                      description="Selective-fusion vision transformer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("gen", "generate a synthetic dataset"),
-        ("train", "train one selector variant"),
-        ("eval", "evaluate a checkpoint on a dataset"),
-        ("compare", "train none/saws/maws arms and tabulate accuracy"),
-        ("inspect", "dump selections and attention for one image"),
-        ("gradcheck", "finite-difference verification suite"),
-    ):
+    for name, (_, desc) in _COMMANDS.items():
         p = sub.add_parser(name, help=desc)
         _add_common_flags(p)
     return parser
@@ -197,7 +186,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    log.to_csv(out / "train_log.csv")
+    (out / "train_log.csv").write_text(log.csv_text())
     save_checkpoint(model, out / "checkpoint")
     report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
     print(f"selector={model_cfg.selector} steps={tcfg.total_steps} "
@@ -231,7 +220,7 @@ def _plain_mean_loss(model: FuseVitModel, images, labels) -> float:
     total = 0.0
     step = chunk_size(model.cfg)
     for lo in range(0, len(labels), step):
-        logits = model.plain_forward(Tensor(images[lo:lo + step], dtype=model.dtype))
+        logits = model.plain_forward(images[lo:lo + step])
         for loss in cross_entropy(logits, labels[lo:lo + step]).data.tolist():
             total += loss
     return total / len(labels)
@@ -310,7 +299,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         raise ConfigError(
             f"image shape {img.shape} does not match checkpoint input {expected}")
 
-    result = model.forward(Tensor(img.astype(model.dtype), dtype=model.dtype))
+    result = model.forward(img)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     write_selection_trace(out / "selections.jsonl", result.selections,
@@ -334,15 +323,15 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 
 
 _COMMANDS = {
-    "gen": cmd_gen,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "compare": cmd_compare,
-    "inspect": cmd_inspect,
-    "gradcheck": cmd_gradcheck,
+    "gen": (cmd_gen, "generate a synthetic dataset"),
+    "train": (cmd_train, "train one selector variant"),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset"),
+    "compare": (cmd_compare, "train none/saws/maws arms and tabulate accuracy"),
+    "inspect": (cmd_inspect, "dump selections and attention for one image"),
+    "gradcheck": (cmd_gradcheck, "finite-difference verification suite"),
 }
 
-_CONFIG_EXIT = (UsageError, ConfigError, ShapeError, TraceMismatchError, FtzError)
+_CONFIG_EXIT = (ConfigError, ShapeError, TraceMismatchError, FtzError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -350,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _config_from_args(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except _CONFIG_EXIT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

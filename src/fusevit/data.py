@@ -213,24 +213,30 @@ def load_dataset(directory) -> SynthDataset:
     if not isinstance(items, list):
         raise ConfigError(f"dataset manifest items must be a list, got {items!r}")
     splits: dict[str, tuple[list, list]] = {"train": ([], []), "test": ([], [])}
+    expected = (spec.image_size, spec.image_size, 1)
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("file"), str):
             raise ConfigError(f"malformed dataset manifest item {item!r}")
         split = item.get("split", "train")
-        if split not in splits:
+        if not isinstance(split, str) or split not in splits:
             raise ConfigError(f"unknown split {split!r} in manifest")
         label = item.get("label")
         if type(label) is not int or not 0 <= label < spec.num_classes:
             raise ConfigError(f"item {item['file']!r} has label {label!r} outside "
                               f"[0, {spec.num_classes})")
+        path = directory / item["file"]
+        image = ftz.read(path)
+        if image.shape != expected:
+            raise ConfigError(f"{path}: image shape {image.shape} does not match "
+                              f"the spec's {expected}")
         images, labels = splits[split]
-        images.append(ftz.read(directory / item["file"]).astype(np.float32))
+        images.append(image.astype(np.float32))
         labels.append(label)
 
     def pack(split: str) -> ImageSet:
         images, labels = splits[split]
         return ImageSet(images=np.stack(images) if images else
-                        np.empty((0, spec.image_size, spec.image_size, 1), np.float32),
+                        np.empty((0, *expected), np.float32),
                         labels=np.asarray(labels, dtype=np.int64))
 
     return SynthDataset(spec=spec, train=pack("train"), test=pack("test"))

@@ -7,7 +7,6 @@ rather than post-softmax rows; see ``AttentionRecord``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -252,14 +251,6 @@ def embed(patches: Tensor, pe: PatchEmbedding) -> Tensor:
     return add(tokens, pe.pos)
 
 
-@functools.lru_cache(maxsize=None)
-def _head_axes(rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axes that turn ``(..., S, heads, dh)`` into ``(..., heads, S, dh)`` (and
-    back), and into ``(..., heads, dh, S)``, for ``rank`` leading axes."""
-    lead = tuple(range(rank))
-    return (*lead, rank + 1, rank, rank + 2), (*lead, rank + 1, rank + 2, rank)
-
-
 def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = None):
     """Multi-head self-attention with residual; also returns score capture.
 
@@ -275,7 +266,11 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     if d % heads != 0:
         raise ShapeError(f"width {d} not divisible by {heads} heads")
     dh = d // heads
-    swap, to_keys = _head_axes(len(lead))
+    # axes that turn (..., S, heads, dh) into (..., heads, S, dh) and back,
+    # and into (..., heads, dh, S)
+    r = len(lead)
+    swap = (*range(r), r + 1, r, r + 2)
+    to_keys = (*range(r), r + 1, r + 2, r)
 
     zn = layer_norm(z, layer.ln1_gamma, layer.ln1_beta, LN_EPS)
 

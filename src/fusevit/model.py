@@ -130,7 +130,7 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
             raise TraceMismatchError(
                 f"selected token {outside[0]} outside 1..{count - 1} at layer {pos}")
         parts.append(gather_rows(hidden, idx))
-    return FusedSequence(tokens=parts[0] if len(parts) == 1 else concat_rows(parts))
+    return FusedSequence(tokens=concat_rows(parts))
 
 
 class FuseVitModel:
@@ -161,11 +161,8 @@ class FuseVitModel:
             yield from layer.named_parameters(i)
         yield from self.head.named_parameters()
 
-    def parameters(self) -> list[Tensor]:
-        return [t for _, t in self.named_parameters()]
-
     def zero_grad(self) -> None:
-        for p in self.parameters():
+        for _, p in self.named_parameters():
             p.zero_grad()
 
     # ---- forward passes --------------------------------------------------
@@ -262,7 +259,10 @@ def load_checkpoint(directory) -> FuseVitModel:
     files = manifest.get("params")
     if not isinstance(files, dict):
         raise ConfigError(f"checkpoint params must be a JSON object, got {files!r}")
-    dtype = np.float64 if manifest.get("dtype") == "f64" else np.float32
+    dtype_name = manifest.get("dtype")
+    if dtype_name not in ("f32", "f64"):
+        raise ConfigError(f'checkpoint dtype must be "f32" or "f64", got {dtype_name!r}')
+    dtype = np.float64 if dtype_name == "f64" else np.float32
     model = FuseVitModel.build(cfg, dtype)
     named = dict(model.named_parameters())
     missing = sorted(set(named) - set(files))

@@ -87,24 +87,16 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
 
-class _Record:
-    __slots__ = ("output", "inputs", "backward")
-
-    def __init__(self, output, inputs, backward):
-        self.output = output
-        self.inputs = inputs
-        self.backward = backward
-
-
 class Tape:
     """Ordered record of one forward pass.
 
-    Operations append in execution order, so inputs always precede their
-    consumers; ``backward`` walks the list in reverse exactly once.
+    Operations append ``(output, inputs, rule)`` in execution order, so
+    inputs always precede their consumers; ``backward`` walks the list in
+    reverse exactly once.
     """
 
     def __init__(self):
-        self._records: list[_Record] = []
+        self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
         self._consumed = False
 
     def __enter__(self):
@@ -129,12 +121,12 @@ class Tape:
             raise TapeError("loss was not produced under this tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        for rec in reversed(self._records):
-            out_grad = rec.output.grad
+        for output, inputs, rule in reversed(self._records):
+            out_grad = output.grad
             if out_grad is None:
                 continue
-            partials = rec.backward(out_grad)
-            for t, p in zip(rec.inputs, partials):
+            partials = rule(out_grad)
+            for t, p in zip(inputs, partials):
                 if p is None or not t.requires_grad:
                     continue
                 if t.grad is None:
@@ -145,8 +137,8 @@ class Tape:
                 else:
                     t.grad += p
         # tensors that never received flow end up with 0
-        for rec in self._records:
-            for t in (*rec.inputs, rec.output):
+        for output, inputs, _ in self._records:
+            for t in (*inputs, output):
                 if t.grad is None and t.requires_grad:
                     t.grad = np.zeros_like(t.data)
 
@@ -154,16 +146,12 @@ class Tape:
 _TAPE_STACK: list[Tape] = []
 
 
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
-
-
 def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
-    tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
+    if _TAPE_STACK and any(t.requires_grad for t in inputs):
+        tape = _TAPE_STACK[-1]
         out.requires_grad = True
         out._tape = tape
-        tape._records.append(_Record(out, inputs, backward_rule))
+        tape._records.append((out, inputs, backward_rule))
     return out
 
 
@@ -199,15 +187,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if lead < 0 or ad.shape[lead:] != bd.shape:
         raise ShapeError(f"add shape mismatch: {ad.shape} + {bd.shape}")
     out = Tensor._wrap(ad + bd)
+    axes = tuple(range(lead))
 
-    if lead:
-        axes = tuple(range(lead))
-
-        def rule(g):
-            return g, g.sum(axis=axes)
-    else:
-        def rule(g):
-            return g, g
+    def rule(g):
+        return g, g.sum(axis=axes)
 
     return _finish(out, (a, b), rule)
 
@@ -343,8 +326,8 @@ def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 
     def rule(g):
         lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead) if lead else g * xhat
-        dbeta = g.sum(axis=lead) if lead else g
+        dgamma = (g * xhat).sum(axis=lead)
+        dbeta = g.sum(axis=lead)
         dxhat = g * gamma.data
         dx = inv * (dxhat
                     - np.add.reduce(dxhat, axis=-1, keepdims=True) / d

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -91,24 +90,15 @@ class TrainLog:
         lines += [f"{r.step},{r.lr!r},{r.loss!r},{r.acc!r}" for r in self.rows]
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path) -> None:
-        Path(path).write_text(self.csv_text())
 
-
-class _BatchSampler:
+def _batches(count: int, batch_size: int, rng: np.random.Generator) -> Iterator[list[int]]:
     """Deterministic shuffled batches; reshuffles when an epoch runs out."""
-
-    def __init__(self, count: int, batch_size: int, rng: np.random.Generator):
-        self._count = count
-        self._batch = batch_size
-        self._rng = rng
-        self._queue: list[int] = []
-
-    def next_batch(self) -> list[int]:
-        while len(self._queue) < self._batch:
-            self._queue.extend(self._rng.permutation(self._count).tolist())
-        out, self._queue = self._queue[: self._batch], self._queue[self._batch:]
-        return out
+    queue: list[int] = []
+    while True:
+        while len(queue) < batch_size:
+            queue.extend(rng.permutation(count).tolist())
+        yield queue[:batch_size]
+        queue = queue[batch_size:]
 
 
 def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> TrainLog:
@@ -119,7 +109,7 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
         np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
     augment_rng = np.random.default_rng(
         np.random.SeedSequence(cfg.seed, spawn_key=(2,)))
-    sampler = _BatchSampler(len(dataset.train), cfg.batch_size, shuffle_rng)
+    batches = _batches(len(dataset.train), cfg.batch_size, shuffle_rng)
 
     named = list(model.named_parameters())
     velocities = [np.zeros_like(p.data) for _, p in named]
@@ -127,7 +117,7 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
     log = TrainLog()
     for step in range(cfg.total_steps):
         lr = cosine_lr(step, cfg.total_steps, cfg.lr0)
-        idx = sampler.next_batch()
+        idx = next(batches)
         model.zero_grad()
         try:
             with Tape() as tape:
@@ -135,7 +125,7 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
                 images = np.stack([augment(dataset.train.images[i], cfg.augment,
                                            augment_rng, train=True) for i in idx])
                 labels = dataset.train.labels[idx]
-                result = model.forward(Tensor(images, dtype=model.dtype))
+                result = model.forward(images)
                 loss = scale(sum_all(cross_entropy(result.logits, labels)), 1.0 / len(idx))
                 loss_value = float(loss.data)
                 if not np.isfinite(loss_value):

@@ -1,12 +1,15 @@
 """Command-line surface: subcommands, config precedence, exit codes."""
 
 import argparse
+import contextlib
+import io
 import json
 import shutil
 from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusevit import ftz
 from fusevit.cli import RunConfig, build_parser, main
@@ -421,6 +424,9 @@ BAD_MANIFESTS = {
     "checkpoint-config-float-for-int": ("checkpoint", edited(lambda m: m["config"].update(k=2.0))),
     "checkpoint-params-not-string": (
         "checkpoint", edited(lambda m: m["params"].update({"embed.E": 7}))),
+    "dataset-split-list": ("ds", edited(lambda m: m["items"][0].update(split=["x"]))),
+    "checkpoint-dtype-unknown": ("checkpoint", edited(lambda m: m.update(dtype="f16"))),
+    "checkpoint-dtype-missing": ("checkpoint", edited(lambda m: m.pop("dtype"))),
     "dataset-nested-100k-deep": ("ds", lambda m: "[" * 100_000),
     "checkpoint-nested-100k-deep": ("checkpoint", lambda m: "{\"a\":" * 100_000),
     # None: the manifest is replaced by a directory
@@ -480,6 +486,18 @@ class TestManifestBoundary:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {path}: payload holds"), err
 
+    @pytest.mark.parametrize("shape", [(8, 8, 1), (16, 16), (16, 16, 3)])
+    def test_image_off_the_spec_shape_names_the_file(self, shape, trained, tmp_path,
+                                                     capsys):
+        ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
+        path = ds / "test_00000.ftz"
+        ftz.write(path, np.zeros(shape, np.float32))
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: image shape"), err
+
     @pytest.mark.parametrize("crop_flag", ["--crop", "--resize-to"])
     def test_eval_zero_crop_reports_one_error_line(self, trained, capsys, crop_flag):
         ds, ckpt = trained
@@ -516,3 +534,63 @@ class TestManifestBoundary:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+# replacement values for the manifest fuzz; no large int, since a size field
+# such as embed_dim would allocate an array that large
+FUZZ_VALUES = [None, True, False, -1, 0, 1, 2.5, "x", [], {}]
+DELETE = object()
+
+
+def key_paths(value, prefix=()):
+    """Every key path into a JSON value, parents before children."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+def replaced(manifest, path, value):
+    """A deep copy of ``manifest`` with the value at ``path`` replaced, or
+    deleted when ``value`` is ``DELETE``."""
+    out = json.loads(json.dumps(manifest))
+    parent = out
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return out
+
+
+class TestManifestFuzz:
+    @pytest.fixture(scope="class")
+    def dirs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        ds = gen_dataset(tmp)
+        assert run_cli("train", "--dataset", str(ds), "--out", str(tmp / "run"),
+                       "--image-size", "16", *TINY_MODEL, *TINY_TRAIN) == 0
+        return {"ds": ds, "checkpoint": tmp / "run" / "checkpoint"}
+
+    @pytest.mark.parametrize("which", ["ds", "checkpoint"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_one_edit_ends_in_exit_0_or_1(self, which, dirs, data):
+        path = dirs[which] / "manifest.json"
+        original = path.read_text()
+        manifest = json.loads(original)
+        key_path = data.draw(st.sampled_from(list(key_paths(manifest))))
+        value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+        path.write_text(json.dumps(replaced(manifest, key_path, value)))
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run_cli("eval", "--dataset", str(dirs["ds"]),
+                               "--checkpoint", str(dirs["checkpoint"]))
+        finally:
+            path.write_text(original)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1)
+        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), lines

@@ -220,6 +220,18 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(t64(np.zeros((2, 0))), t64(np.zeros(0)), t64(np.zeros(0)))
 
+    @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["x", "gamma", "beta"])
+    def test_one_vector_gradient_matches_finite_differences(self, wrt):
+        # a 1-D input has no leading axes for dgamma and dbeta to sum over
+        rng = np.random.default_rng(6)
+        args = [t64(rng.standard_normal(5)) for _ in range(3)]
+        w = t64(rng.standard_normal(5))
+
+        def f(t):
+            return sum_all(mul(layer_norm(*args[:wrt], t, *args[wrt + 1:]), w))
+
+        assert finite_diff_check(f, args[wrt]) < 1e-6
+
 
 class TestGelu:
     def test_zero(self):

@@ -26,6 +26,13 @@ from fusevit.train import (
 )
 
 
+def test_batches_make_the_same_draws_as_the_epoch_queue():
+    # pinned to the epoch-queue sampler the generator replaced
+    batches = train_module._batches(5, 3, np.random.default_rng(0))
+    assert [next(batches) for _ in range(6)] == [
+        [2, 4, 3], [0, 1, 4], [1, 2, 0], [3, 0, 2], [3, 4, 1], [3, 2, 0]]
+
+
 def test_train_is_the_module():
     # the package re-exports nothing, so the function cannot shadow the module
     assert inspect.ismodule(train_module)
