@@ -22,7 +22,7 @@ from .encoder import ModelConfig
 from .errors import ConfigError, FtzError, FuseVitError, ShapeError, TraceMismatchError
 from .gradcheck import format_report, run_suite
 from .model import FuseVitModel, load_checkpoint, save_checkpoint
-from .selector import REGISTRY, write_selection_trace
+from .selector import REGISTRY, selection_trace_lines
 from .tensor import cross_entropy
 from .train import TrainConfig, chunk_size, evaluate, train
 
@@ -95,14 +95,16 @@ class RunConfig:
             k=self.k, selector=self.selector, num_classes=num_classes,
             seed=self.seed, head_layers=self.head_layers)
 
+    def augment_config(self, size: int) -> AugmentConfig:
+        """Crop and resize default to ``size``, the model's input side."""
+        return AugmentConfig(flip=self.flip,
+                             crop_size=size if self.crop is None else self.crop,
+                             resize_to=size if self.resize_to is None else self.resize_to)
+
     def train_config(self) -> TrainConfig:
-        size = self.image_size
-        aug = AugmentConfig(flip=self.flip,
-                            crop_size=size if self.crop is None else self.crop,
-                            resize_to=size if self.resize_to is None else self.resize_to)
         return TrainConfig(lr0=self.lr, momentum=self.momentum,
                            total_steps=self.steps, batch_size=self.batch,
-                           seed=self.seed, augment=aug)
+                           seed=self.seed, augment=self.augment_config(self.image_size))
 
     def synth_spec(self) -> SynthSpec:
         return SynthSpec(num_classes=self.classes,
@@ -143,12 +145,6 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=desc)
         _add_common_flags(p)
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config")}
-    return RunConfig.from_sources(args.config, overrides)
 
 
 def _require(cfg: RunConfig, *names: str) -> None:
@@ -203,10 +199,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         raise ConfigError(
             f"checkpoint has {model.cfg.num_classes} classes, "
             f"dataset has {dataset.num_classes}")
-    size = model.cfg.image_h
-    aug = AugmentConfig(flip=False,
-                        crop_size=size if cfg.crop is None else cfg.crop,
-                        resize_to=size if cfg.resize_to is None else cfg.resize_to)
+    # evaluation never flips, so the flip setting does not matter here
+    aug = cfg.augment_config(model.cfg.image_h)
     report = evaluate(model, dataset.test, dataset.num_classes, aug)
     print(f"test_accuracy={report.accuracy:.4f} test_mean_loss={report.mean_loss:.4f}")
     for c, (acc, n) in enumerate(zip(report.per_class, report.class_counts)):
@@ -238,10 +232,6 @@ class ComparisonRow:
 class ComparisonReport:
     rows: list[ComparisonRow]
     init_losses: list[float]  # one per arm; equal whenever seeds are shared
-
-    @property
-    def init_loss(self) -> float:
-        return self.init_losses[0]
 
     def csv_text(self) -> str:
         lines = [COMPARE_HEADER]
@@ -283,7 +273,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(report.csv_text())
-    print(f"shared initial loss (untrained backbone): {report.init_loss:.6f}")
+    print(f"shared initial loss (untrained backbone): {report.init_losses[0]:.6f}")
     print(COMPARE_HEADER)
     for r in report.rows:
         print(f"{r.variant},{r.test_acc:.4f},{r.train_acc:.4f},{r.steps}")
@@ -302,8 +292,8 @@ def cmd_inspect(cfg: RunConfig) -> int:
     result = model.forward(img)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_selection_trace(out / "selections.jsonl", result.selections,
-                          model.cfg.selector)
+    lines = selection_trace_lines(result.selections, model.cfg.selector)
+    (out / "selections.jsonl").write_text("\n".join(lines) + "\n")
     for record in result.trace.attention:
         ftz.write(out / f"attention.layer{record.layer_index}.ftz",
                   record.scores.data)
@@ -337,9 +327,9 @@ _CONFIG_EXIT = (ConfigError, ShapeError, TraceMismatchError, FtzError)
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _config_from_args(args)
-        return _COMMANDS[args.command][0](cfg)
+        args = vars(parser.parse_args(argv))
+        command, config = args.pop("command"), args.pop("config")
+        return _COMMANDS[command][0](RunConfig.from_sources(config, args))
     except _CONFIG_EXIT as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

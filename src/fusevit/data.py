@@ -161,22 +161,21 @@ def bilinear_resize(image: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def augment(image: np.ndarray, cfg: AugmentConfig,
-            rng: np.random.Generator | None = None, train: bool = True) -> np.ndarray:
+            rng: np.random.Generator | None = None) -> np.ndarray:
     """Resize, crop (random in training, centered otherwise), maybe flip.
 
-    Training mode needs an RNG; evaluation mode is fully deterministic.
+    Training mode is given an RNG; without one (evaluation mode) the crop
+    is centered, nothing is flipped, and the result is deterministic.
     """
-    if train and rng is None:
-        raise ConfigError("training-mode augmentation needs an RNG")
     resized = bilinear_resize(image, cfg.resize_to, cfg.resize_to)
     span = cfg.resize_to - cfg.crop_size
-    if train:
+    if rng is not None:
         oy = int(rng.integers(0, span + 1))
         ox = int(rng.integers(0, span + 1))
     else:
         oy = ox = span // 2
     out = resized[oy:oy + cfg.crop_size, ox:ox + cfg.crop_size, :]
-    if train and cfg.flip and rng.random() < 0.5:
+    if rng is not None and cfg.flip and rng.random() < 0.5:
         out = out[:, ::-1, :]
     return np.ascontiguousarray(out)
 
@@ -209,6 +208,10 @@ def load_dataset(directory) -> SynthDataset:
     directory = Path(directory)
     manifest = ftz.read_manifest(directory / "manifest.json", "dataset")
     spec = ftz.build_from(SynthSpec, manifest.get("spec"), "dataset spec")
+    classes = manifest.get("classes")
+    if type(classes) is not int or classes != spec.num_classes:
+        raise ConfigError(f"dataset manifest classes {classes!r} does not match "
+                          f"the spec's num_classes {spec.num_classes}")
     items = manifest.get("items")
     if not isinstance(items, list):
         raise ConfigError(f"dataset manifest items must be a list, got {items!r}")

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .selector import REGISTRY
 from .tensor import (
     Tensor,
@@ -28,7 +28,6 @@ from .tensor import (
     transpose,
 )
 
-LN_EPS = 1e-6
 INIT_STD = 0.02
 
 
@@ -75,16 +74,8 @@ class ModelConfig:
                 f"embed_dim {self.embed_dim} not divisible by {self.heads} heads")
 
     @property
-    def grid_h(self) -> int:
-        return self.image_h // self.patch_size
-
-    @property
-    def grid_w(self) -> int:
-        return self.image_w // self.patch_size
-
-    @property
     def num_patches(self) -> int:
-        return self.grid_h * self.grid_w
+        return (self.image_h // self.patch_size) * (self.image_w // self.patch_size)
 
     @property
     def seq_len(self) -> int:
@@ -164,46 +155,43 @@ class EncoderTrace:
 # ---- parameter initialization ---------------------------------------------
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = INIT_STD,
-                 dtype=np.float32) -> Tensor:
-    """Normal(0, std) resampled until within two standard deviations."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
+def trunc_normal(rng: np.random.Generator, shape) -> Tensor:
+    """Normal(0, INIT_STD) resampled until within two standard deviations."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
     while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
-    return Tensor(out.astype(dtype), requires_grad=True, dtype=dtype)
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
+    return Tensor(out, requires_grad=True, dtype=np.float64)
 
 
-def param_zeros(shape, dtype) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, dtype=dtype)
+def param_zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape), requires_grad=True, dtype=np.float64)
 
 
-def param_ones(shape, dtype) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True, dtype=dtype)
+def param_ones(shape) -> Tensor:
+    return Tensor(np.ones(shape), requires_grad=True, dtype=np.float64)
 
 
-def init_patch_embedding(cfg: ModelConfig, rng: np.random.Generator,
-                         dtype=np.float32) -> PatchEmbedding:
+def init_patch_embedding(cfg: ModelConfig, rng: np.random.Generator) -> PatchEmbedding:
     return PatchEmbedding(
-        proj=trunc_normal(rng, (cfg.patch_dim, cfg.embed_dim), dtype=dtype),
-        pos=trunc_normal(rng, (cfg.seq_len, cfg.embed_dim), dtype=dtype),
-        cls=trunc_normal(rng, (cfg.embed_dim,), dtype=dtype),
+        proj=trunc_normal(rng, (cfg.patch_dim, cfg.embed_dim)),
+        pos=trunc_normal(rng, (cfg.seq_len, cfg.embed_dim)),
+        cls=trunc_normal(rng, (cfg.embed_dim,)),
     )
 
 
-def init_encoder_layer(cfg: ModelConfig, rng: np.random.Generator,
-                       dtype=np.float32) -> EncoderLayer:
+def init_encoder_layer(cfg: ModelConfig, rng: np.random.Generator) -> EncoderLayer:
     d, m = cfg.embed_dim, cfg.mlp_dim
     return EncoderLayer(
-        ln1_gamma=param_ones((d,), dtype), ln1_beta=param_zeros((d,), dtype),
-        wq=trunc_normal(rng, (d, d), dtype=dtype),
-        wk=trunc_normal(rng, (d, d), dtype=dtype),
-        wv=trunc_normal(rng, (d, d), dtype=dtype),
-        wo=trunc_normal(rng, (d, d), dtype=dtype),
-        ln2_gamma=param_ones((d,), dtype), ln2_beta=param_zeros((d,), dtype),
-        w1=trunc_normal(rng, (d, m), dtype=dtype), b1=param_zeros((m,), dtype),
-        w2=trunc_normal(rng, (m, d), dtype=dtype), b2=param_zeros((d,), dtype),
+        ln1_gamma=param_ones((d,)), ln1_beta=param_zeros((d,)),
+        wq=trunc_normal(rng, (d, d)),
+        wk=trunc_normal(rng, (d, d)),
+        wv=trunc_normal(rng, (d, d)),
+        wo=trunc_normal(rng, (d, d)),
+        ln2_gamma=param_ones((d,)), ln2_beta=param_zeros((d,)),
+        w1=trunc_normal(rng, (d, m)), b1=param_zeros((m,)),
+        w2=trunc_normal(rng, (m, d)), b2=param_zeros((d,)),
     )
 
 
@@ -272,7 +260,7 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     swap = (*range(r), r + 1, r, r + 2)
     to_keys = (*range(r), r + 1, r + 2, r)
 
-    zn = layer_norm(z, layer.ln1_gamma, layer.ln1_beta, LN_EPS)
+    zn = layer_norm(z, layer.ln1_gamma, layer.ln1_beta)
 
     def split(w: Tensor, axes) -> Tensor:
         return transpose(reshape(matmul(zn, w), (*lead, s, heads, dh)), axes)
@@ -284,8 +272,9 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     merged = reshape(transpose(matmul(softmax(sh), v), swap), (*lead, s, d))
     out = add(z, matmul(merged, layer.wo))
 
-    where = f"layer {layer_index}" if layer_index is not None else "attention block"
-    out.assert_finite(f"attention output of {where}")
+    if not np.isfinite(out.data).all():
+        where = f"layer {layer_index}" if layer_index is not None else "attention block"
+        raise NumericError(f"non-finite values in attention output of {where}")
 
     return out, Tensor._wrap(sh.data.sum(axis=-3) / heads)
 
@@ -297,7 +286,7 @@ def mlp(z: Tensor, layer: EncoderLayer) -> Tensor:
 
 def _block(z: Tensor, layer: EncoderLayer, heads: int, layer_index):
     attended, scores = msa(z, layer, heads, layer_index)
-    normed = layer_norm(attended, layer.ln2_gamma, layer.ln2_beta, LN_EPS)
+    normed = layer_norm(attended, layer.ln2_gamma, layer.ln2_beta)
     return add(attended, mlp(normed, layer)), scores
 
 

@@ -5,7 +5,7 @@ Layout, byte for byte:
 * magic ``b"FFVTTNSR"``
 * header length as unsigned 32-bit little-endian
 * UTF-8 JSON header ``{"dtype": "f32"|"f64", "shape": [...]}``
-* payload: row-major scalars, little-endian, f32 or f64 per the header
+* payload: row-major finite scalars, little-endian, f32 or f64 per the header
 
 Used for weights, dataset images, and attention dumps. Dataset and
 checkpoint directories list their FTZ files in a ``manifest.json``, read by
@@ -73,6 +73,8 @@ def loads(blob: bytes) -> np.ndarray:
         arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
     except ValueError as exc:  # more axes, or a longer axis, than numpy allows
         raise FtzError(f"FTZ shape {shape} is not a numpy array shape: {exc}") from exc
+    if not np.isfinite(arr).all():
+        raise FtzError("payload holds non-finite values")
     # native byte order, writable copy
     return arr.astype(dtype.newbyteorder("="), copy=True)
 

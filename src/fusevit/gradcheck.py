@@ -21,6 +21,7 @@ from .tensor import Tape, Tensor, finite_diff_check
 
 OP_TOL = 1e-5
 END_TO_END_TOL = 1e-3
+END_TO_END_H = 3e-5  # central-difference step of the end-to-end check
 
 
 @dataclass
@@ -105,7 +106,7 @@ def toy_config(selector: str = "maws") -> ModelConfig:
                        selector=selector, num_classes=3, seed=7)
 
 
-def end_to_end_check(seed: int = 0, h: float = 3e-5) -> list[CheckResult]:
+def end_to_end_check(seed: int = 0) -> list[CheckResult]:
     """Perturb every parameter coordinate of the toy model, indices frozen."""
     cfg = toy_config()
     rng = _rng(seed)
@@ -130,7 +131,8 @@ def end_to_end_check(seed: int = 0, h: float = 3e-5) -> list[CheckResult]:
     for name, param in model.named_parameters():
         start = time.perf_counter()
         analytic = param.grad.ravel() if param.grad is not None else np.zeros(param.data.size)
-        worst = T._central_difference(loss_value, param.data.ravel(), analytic, h)
+        worst = T._central_difference(loss_value, param.data.ravel(), analytic,
+                                      END_TO_END_H)
         results.append(CheckResult(f"end_to_end.{name}", worst, END_TO_END_TOL,
                                    time.perf_counter() - start))
     return results

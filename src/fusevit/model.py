@@ -21,7 +21,6 @@ import numpy as np
 
 from . import ftz
 from .encoder import (
-    LN_EPS,
     EncoderLayer,
     EncoderTrace,
     ModelConfig,
@@ -92,18 +91,16 @@ class ForwardResult:
     fused: FusedSequence
 
 
-def init_classifier_head(cfg: ModelConfig, rng: np.random.Generator,
-                         dtype=np.float32) -> ClassifierHead:
+def init_classifier_head(cfg: ModelConfig, rng: np.random.Generator) -> ClassifierHead:
     d = cfg.embed_dim
     widths = [d] * (cfg.head_layers - 1) + [cfg.num_classes]
     affines = []
     prev = d
     for width in widths:
-        affines.append((trunc_normal(rng, (prev, width), dtype=dtype),
-                        param_zeros((width,), dtype)))
+        affines.append((trunc_normal(rng, (prev, width)), param_zeros((width,))))
         prev = width
-    return ClassifierHead(ln_gamma=param_ones((d,), dtype),
-                          ln_beta=param_zeros((d,), dtype), affines=affines)
+    return ClassifierHead(ln_gamma=param_ones((d,)), ln_beta=param_zeros((d,)),
+                          affines=affines)
 
 
 def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequence:
@@ -148,11 +145,21 @@ class FuseVitModel:
 
     @classmethod
     def build(cls, cfg: ModelConfig, dtype=np.float32) -> "FuseVitModel":
-        """Construct with seeded truncated-normal init; reproducible per config."""
+        """Construct with seeded truncated-normal init; reproducible per config.
+
+        The draws are float64; each part is cast to ``dtype`` as soon as it
+        is drawn, so at most one float64 part is held at a time.
+        """
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
-        embedder = init_patch_embedding(cfg, rng, dtype)
-        layers = [init_encoder_layer(cfg, rng, dtype) for _ in range(cfg.layers)]
-        head = init_classifier_head(cfg, rng, dtype)
+
+        def cast(part, *index):
+            for _, p in part.named_parameters(*index):
+                p.data = p.data.astype(dtype, copy=False)
+            return part
+
+        embedder = cast(init_patch_embedding(cfg, rng))
+        layers = [cast(init_encoder_layer(cfg, rng), i) for i in range(1, cfg.layers + 1)]
+        head = cast(init_classifier_head(cfg, rng))
         return cls(cfg, embedder, layers, head, dtype)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
@@ -181,7 +188,7 @@ class FuseVitModel:
     def _classify(self, final_tokens: Tensor) -> Tensor:
         lead = final_tokens.data.shape[:-2]
         cls_row = gather_rows(final_tokens, np.zeros((*lead, 1), dtype=np.intp))
-        x = layer_norm(cls_row, self.head.ln_gamma, self.head.ln_beta, LN_EPS)
+        x = layer_norm(cls_row, self.head.ln_gamma, self.head.ln_beta)
         for i, (w, b) in enumerate(self.head.affines):
             if i:
                 x = gelu(x)

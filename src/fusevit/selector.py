@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -127,7 +126,3 @@ def selection_trace_lines(selections: Sequence[SelectionResult], kind: str) -> l
             "weights": [float(w) for w in sel.weights],
         }))
     return lines
-
-
-def write_selection_trace(path, selections: Sequence[SelectionResult], kind: str) -> None:
-    Path(path).write_text("\n".join(selection_trace_lines(selections, kind)) + "\n")

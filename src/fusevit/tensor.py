@@ -24,6 +24,7 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LN_EPS = 1e-6  # added to every layer_norm variance
 
 
 class Tensor:
@@ -76,11 +77,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def assert_finite(self, context: str = "tensor") -> "Tensor":
-        if not np.isfinite(self.data).all():
-            raise NumericError(f"non-finite values in {context}")
-        return self
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -190,7 +186,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     axes = tuple(range(lead))
 
     def rule(g):
-        return g, g.sum(axis=axes)
+        # a sum over every axis gives a numpy scalar; the gradient stays an array
+        return g, np.asarray(g.sum(axis=axes))
 
     return _finish(out, (a, b), rule)
 
@@ -305,7 +302,7 @@ def softmax(v: Tensor) -> Tensor:
     return _finish(out, (v,), rule)
 
 
-def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize each vector along the last axis, then apply gamma/beta."""
     d = v.data.shape[-1] if v.data.ndim else 0
     if d == 0:
@@ -313,14 +310,12 @@ def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match D={d}")
-    if not eps > 0:
-        raise ConfigError(f"layer_norm eps must be positive, got {eps}")
     x = v.data
     # np.add.reduce / d is what ndarray.mean computes, without its dispatch cost
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = Tensor._wrap(xhat * gamma.data + beta.data)
 

@@ -123,7 +123,7 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
             with Tape() as tape:
                 # augment in batch order so the RNG draws follow the images
                 images = np.stack([augment(dataset.train.images[i], cfg.augment,
-                                           augment_rng, train=True) for i in idx])
+                                           augment_rng) for i in idx])
                 labels = dataset.train.labels[idx]
                 result = model.forward(images)
                 loss = scale(sum_all(cross_entropy(result.logits, labels)), 1.0 / len(idx))
@@ -183,7 +183,7 @@ def evaluate(model, image_set: ImageSet, num_classes: int,
     for lo in range(0, len(image_set), step):
         images = image_set.images[lo:lo + step]
         if aug is not None:
-            images = np.stack([augment(img, aug, rng=None, train=False) for img in images])
+            images = np.stack([augment(img, aug) for img in images])
         labels = image_set.labels[lo:lo + step]
         logits = np.asarray(model.forward(images).logits.data, dtype=np.float64)
         for loss in cross_entropy(Tensor._wrap(logits), labels).data.tolist():

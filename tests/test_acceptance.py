@@ -246,7 +246,7 @@ def test_criterion_ablation_structure():
     ok = structural and shared_init and deterministic
     accs = {r.variant: round(r.test_acc, 3) for r in first.rows}
     report("ablation-structure reproduction", ok,
-           f"rows={accs}, shared init loss={first.init_loss:.4f}, "
+           f"rows={accs}, shared init loss={first.init_losses[0]:.4f}, "
            f"deterministic={deterministic}")
     assert structural
     assert shared_init

@@ -4,7 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import shutil
+import tempfile
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -425,6 +427,7 @@ BAD_MANIFESTS = {
     "checkpoint-params-not-string": (
         "checkpoint", edited(lambda m: m["params"].update({"embed.E": 7}))),
     "dataset-split-list": ("ds", edited(lambda m: m["items"][0].update(split=["x"]))),
+    "dataset-classes-off-the-spec": ("ds", edited(lambda m: m.update(classes=9))),
     "checkpoint-dtype-unknown": ("checkpoint", edited(lambda m: m.update(dtype="f16"))),
     "checkpoint-dtype-missing": ("checkpoint", edited(lambda m: m.pop("dtype"))),
     "dataset-nested-100k-deep": ("ds", lambda m: "[" * 100_000),
@@ -485,6 +488,32 @@ class TestManifestBoundary:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {path}: payload holds"), err
+
+    @pytest.mark.parametrize("which, name, bad", [("checkpoint", "embed.E.ftz", np.nan),
+                                                  ("ds", "test_00000.ftz", np.inf)])
+    def test_non_finite_file_names_the_file(self, which, name, bad, trained, tmp_path,
+                                            capsys):
+        ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
+        path = tmp_path / which / name
+        arr = ftz.read(path)
+        arr.flat[0] = bad
+        ftz.write(path, arr)
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert err == [f"error: {path}: payload holds non-finite values"]
+
+    def test_non_finite_image_names_the_file(self, trained, tmp_path, capsys):
+        bad = tmp_path / "nan.ftz"
+        ftz.write(bad, np.full((16, 16, 1), np.nan, np.float32))
+        capsys.readouterr()
+        code = run_cli("inspect", "--checkpoint", str(trained[1]), "--image", str(bad),
+                       "--out", str(tmp_path / "inspect"))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert err == [f"error: {bad}: payload holds non-finite values"]
+        assert not (tmp_path / "inspect").exists()
 
     @pytest.mark.parametrize("shape", [(8, 8, 1), (16, 16), (16, 16, 3)])
     def test_image_off_the_spec_shape_names_the_file(self, shape, trained, tmp_path,
@@ -594,3 +623,42 @@ class TestManifestFuzz:
         lines = err.getvalue().splitlines()
         assert code in (0, 1)
         assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), lines
+
+
+# a small valid ``train --config`` file: the tiny model for one step
+FUZZ_CONFIG = {"image_size": 16, "patch": 8, "dim": 8, "layers": 2, "heads": 2,
+               "mlp_dim": 16, "k": 2, "selector": "maws", "head_layers": 1,
+               "steps": 1, "batch": 2, "lr": 0.001, "momentum": 0.9, "seed": 0,
+               "flip": True, "crop": 16, "resize_to": 16, "out": "run"}
+
+
+class TestConfigFuzz:
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        return gen_dataset(tmp_path_factory.mktemp("config-fuzz"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_one_edit_ends_in_a_run_or_one_error_line(self, dataset, data):
+        config = {**FUZZ_CONFIG, "dataset": str(dataset)}
+        key = data.draw(st.sampled_from(sorted(config)))
+        value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+        err = io.StringIO()
+        home = os.getcwd()
+        with tempfile.TemporaryDirectory() as work:
+            # a relative "out" lands in the scratch directory
+            os.chdir(work)
+            try:
+                with open("cfg.json", "w") as f:
+                    json.dump(replaced(config, (key,), value), f)
+                with contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    code = run_cli("train", "--config", "cfg.json")
+                made = sorted(os.listdir())
+            finally:
+                os.chdir(home)
+        lines = err.getvalue().splitlines()
+        assert code in (0, 1, 2)
+        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), lines
+        if code:
+            assert made == ["cfg.json"], (key, value, made)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fusevit.encoder import (
-    LN_EPS,
     EncoderLayer,
     ModelConfig,
     forward_collect,
@@ -16,7 +15,7 @@ from fusevit.encoder import (
     patchify,
 )
 from fusevit.errors import ConfigError, ShapeError
-from fusevit.tensor import Tensor, softmax
+from fusevit.tensor import LN_EPS, Tensor, softmax
 
 
 def t64(data):
@@ -29,11 +28,11 @@ def ln_oracle(x, gamma, beta, eps=LN_EPS):
     return (x - mu) / np.sqrt(var + eps) * gamma + beta
 
 
-def make_layer(rng, d, mlp_dim, dtype=np.float64):
+def make_layer(rng, d, mlp_dim):
     cfg = ModelConfig(image_h=16, image_w=16, channels=1, patch_size=8,
                       embed_dim=d, layers=2, heads=1, mlp_dim=mlp_dim, k=1,
                       selector="maws", num_classes=2, seed=int(rng.integers(1 << 30)))
-    return init_encoder_layer(cfg, rng, dtype)
+    return init_encoder_layer(cfg, rng)
 
 
 class TestModelConfig:
@@ -95,7 +94,7 @@ class TestEmbed:
         cfg = ModelConfig(image_h=16, image_w=16, channels=1, patch_size=8,
                           embed_dim=d, layers=2, heads=1, mlp_dim=8, k=1,
                           selector="maws", num_classes=2, seed=0)
-        pe = init_patch_embedding(cfg, rng, np.float64)
+        pe = init_patch_embedding(cfg, rng)
         assert pe.proj.shape == (patch_dim, d)
         assert pe.pos.shape == (n + 1, d)
         return pe
@@ -229,7 +228,7 @@ class TestForwardCollect:
         cfg = ModelConfig(image_h=16, image_w=16, channels=1, patch_size=8,
                           embed_dim=d, layers=layers, heads=2, mlp_dim=16, k=2,
                           selector="maws", num_classes=2, seed=0)
-        stack = [init_encoder_layer(cfg, rng, np.float64) for _ in range(layers - 1)]
+        stack = [init_encoder_layer(cfg, rng) for _ in range(layers - 1)]
         z0 = t64(rng.standard_normal((n + 1, d)))
         return z0, stack
 

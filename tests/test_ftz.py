@@ -53,6 +53,13 @@ def test_bad_magic_rejected():
         ftz.loads(b"NOTMAGIC" + b"\x00" * 16)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_rejected(bad, dtype):
+    with pytest.raises(FtzError, match="non-finite"):
+        ftz.loads(ftz.dumps(np.array([1.0, bad], dtype=dtype)))
+
+
 def test_truncated_payload_rejected():
     blob = ftz.dumps(np.zeros(4, dtype=np.float32))
     with pytest.raises(FtzError):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
 
-from fusevit.encoder import AttentionRecord, EncoderTrace, LN_EPS, ModelConfig
+from fusevit.encoder import AttentionRecord, EncoderTrace, ModelConfig
 from fusevit.errors import ConfigError, TraceMismatchError
+from fusevit.gradcheck import END_TO_END_H, END_TO_END_TOL
 from fusevit.model import (
     FuseVitModel,
     fuse,
@@ -14,7 +15,15 @@ from fusevit.model import (
     save_checkpoint,
 )
 from fusevit.selector import REGISTRY, SelectionResult, maws, select_per_layer
-from fusevit.tensor import Tape, Tensor, cross_entropy, scale, sum_all
+from fusevit.tensor import (
+    LN_EPS,
+    Tape,
+    Tensor,
+    _central_difference,
+    cross_entropy,
+    scale,
+    sum_all,
+)
 
 
 def t64(data):
@@ -357,3 +366,41 @@ class TestCheckpoint:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="shape"):
             load_checkpoint(tmp_path / "ckpt")
+
+
+class TestMultiLayerHead:
+    """``head_layers=2``: two affine maps with a GELU between them."""
+
+    def test_logits_match_independent_oracle(self):
+        model = FuseVitModel.build(toy_cfg("none", head_layers=2), dtype=np.float64)
+        image = np.random.default_rng(40).uniform(0, 1, (32, 32, 1))
+        assert np.allclose(model.forward(image).logits.data,
+                           plain_vit_oracle(model, image), atol=1e-5)
+
+    def test_head_gradients_match_central_differences(self):
+        model = FuseVitModel.build(toy_cfg(layers=2, k=2, head_layers=2), dtype=np.float64)
+        image = np.random.default_rng(41).uniform(0, 1, (32, 32, 1))
+        frozen = model.forward(image).selections
+
+        def loss():
+            return cross_entropy(model.forward(image, frozen).logits, 1)
+
+        with Tape() as tape:
+            tape.backward(loss())
+        head = [(n, p) for n, p in model.named_parameters() if n.startswith("head.")]
+        assert [n for n, _ in head] == ["head.ln.gamma", "head.ln.beta", "head.0.w",
+                                        "head.0.b", "head.1.w", "head.1.b"]
+        for name, p in head:
+            err = _central_difference(lambda: float(loss().data), p.data.ravel(),
+                                      p.grad.ravel(), END_TO_END_H)
+            assert err < END_TO_END_TOL, (name, err)
+
+    def test_checkpoint_round_trip(self, tmp_path):
+        model = FuseVitModel.build(toy_cfg(head_layers=2))
+        image = np.random.default_rng(42).uniform(0, 1, (32, 32, 1)).astype(np.float32)
+        save_checkpoint(model, tmp_path / "ckpt")
+        assert (tmp_path / "ckpt" / "head.1.w.ftz").is_file()
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert loaded.cfg.head_layers == 2
+        assert np.array_equal(loaded.forward(image).logits.data,
+                              model.forward(image).logits.data)

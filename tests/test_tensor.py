@@ -197,7 +197,7 @@ class TestLayerNorm:
 
     def test_already_normalized_pair(self):
         gamma, beta = t64(np.ones(2)), t64(np.zeros(2))
-        out = layer_norm(t64([1.0, -1.0]), gamma, beta, eps=1e-6)
+        out = layer_norm(t64([1.0, -1.0]), gamma, beta)
         # mean 0, var 1 already; eps only nudges the denominator
         assert np.allclose(out.data, [1.0, -1.0], atol=1e-5)
 
@@ -326,6 +326,15 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0, 20.0])
         assert np.array_equal(b.grad, [1.0, 10.0])
         assert np.array_equal(s.grad, [1.0, 10.0])
+
+    @pytest.mark.parametrize("a_shape", [(2, 3), ()])
+    def test_0d_addend_gradient_is_a_0d_array(self, a_shape):
+        a = t64(np.ones(a_shape), requires_grad=True)
+        b = t64(np.full((), 2.0), requires_grad=True)
+        with Tape() as tape:
+            tape.backward(sum_all(add(a, b)))
+        assert type(b.grad) is np.ndarray and b.grad.shape == ()
+        assert b.grad == np.ones(a_shape).size
 
     def test_unreachable_tensor_gets_zero(self):
         x = t64([1.0], requires_grad=True)

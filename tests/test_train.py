@@ -198,7 +198,7 @@ class TestTrainLoop:
         idx = sampler_rng.permutation(len(ds.train)).tolist()[:tcfg.batch_size]
         losses, correct = [], 0
         for i in idx:
-            img = augment(ds.train.images[i], tcfg.augment, augment_rng, train=True)
+            img = augment(ds.train.images[i], tcfg.augment, augment_rng)
             logits = fresh.forward(img).logits
             losses.append(float(cross_entropy(logits, int(ds.train.labels[i])).data))
             correct += int(np.argmax(logits.data)) == int(ds.train.labels[i])
@@ -299,7 +299,7 @@ def _per_image_report(model, image_set, num_classes, aug):
     loss_sum = 0.0
     for img, label in zip(image_set.images, image_set.labels.tolist()):
         if aug is not None:
-            img = augment(img, aug, rng=None, train=False)
+            img = augment(img, aug)
         logits = np.asarray(model.forward(img).logits.data, dtype=np.float64)
         top = logits.max()
         loss_sum += float(np.log(np.exp(logits - top).sum()) + top - logits[label])
