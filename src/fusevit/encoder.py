@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
@@ -27,8 +26,6 @@ from .tensor import (
     softmax,
     transpose,
 )
-
-INIT_STD = 0.02
 
 
 @dataclass
@@ -87,53 +84,6 @@ class ModelConfig:
 
 
 @dataclass
-class PatchEmbedding:
-    """Linear patch projection plus class token and position table."""
-
-    proj: Tensor      # (P*P*C) x D
-    pos: Tensor       # (N+1) x D, row 0 is the class-token slot
-    cls: Tensor       # D
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "embed.E", self.proj
-        yield "embed.E_pos", self.pos
-        yield "embed.x_class", self.cls
-
-
-@dataclass
-class EncoderLayer:
-    """One pre-norm transformer block: attention then MLP, both residual."""
-
-    ln1_gamma: Tensor
-    ln1_beta: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
-    wo: Tensor
-    ln2_gamma: Tensor
-    ln2_beta: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def named_parameters(self, index: int) -> Iterator[tuple[str, Tensor]]:
-        base = f"layer.{index}"
-        yield f"{base}.ln1.gamma", self.ln1_gamma
-        yield f"{base}.ln1.beta", self.ln1_beta
-        yield f"{base}.wq", self.wq
-        yield f"{base}.wk", self.wk
-        yield f"{base}.wv", self.wv
-        yield f"{base}.wo", self.wo
-        yield f"{base}.ln2.gamma", self.ln2_gamma
-        yield f"{base}.ln2.beta", self.ln2_beta
-        yield f"{base}.mlp.w1", self.w1
-        yield f"{base}.mlp.b1", self.b1
-        yield f"{base}.mlp.w2", self.w2
-        yield f"{base}.mlp.b2", self.b2
-
-
-@dataclass
 class AttentionRecord:
     """Head-averaged pre-softmax scaled score matrix of one layer.
 
@@ -150,49 +100,6 @@ class EncoderTrace:
 
     hidden: list[Tensor] = field(default_factory=list)
     attention: list[AttentionRecord] = field(default_factory=list)
-
-
-# ---- parameter initialization ---------------------------------------------
-
-
-def trunc_normal(rng: np.random.Generator, shape) -> Tensor:
-    """Normal(0, INIT_STD) resampled until within two standard deviations."""
-    out = rng.normal(0.0, INIT_STD, size=shape)
-    bad = np.abs(out) > 2.0 * INIT_STD
-    while bad.any():
-        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * INIT_STD
-    return Tensor(out, requires_grad=True, dtype=np.float64)
-
-
-def param_zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape), requires_grad=True, dtype=np.float64)
-
-
-def param_ones(shape) -> Tensor:
-    return Tensor(np.ones(shape), requires_grad=True, dtype=np.float64)
-
-
-def init_patch_embedding(cfg: ModelConfig, rng: np.random.Generator) -> PatchEmbedding:
-    return PatchEmbedding(
-        proj=trunc_normal(rng, (cfg.patch_dim, cfg.embed_dim)),
-        pos=trunc_normal(rng, (cfg.seq_len, cfg.embed_dim)),
-        cls=trunc_normal(rng, (cfg.embed_dim,)),
-    )
-
-
-def init_encoder_layer(cfg: ModelConfig, rng: np.random.Generator) -> EncoderLayer:
-    d, m = cfg.embed_dim, cfg.mlp_dim
-    return EncoderLayer(
-        ln1_gamma=param_ones((d,)), ln1_beta=param_zeros((d,)),
-        wq=trunc_normal(rng, (d, d)),
-        wk=trunc_normal(rng, (d, d)),
-        wv=trunc_normal(rng, (d, d)),
-        wo=trunc_normal(rng, (d, d)),
-        ln2_gamma=param_ones((d,)), ln2_beta=param_zeros((d,)),
-        w1=trunc_normal(rng, (d, m)), b1=param_zeros((m,)),
-        w2=trunc_normal(rng, (m, d)), b2=param_zeros((d,)),
-    )
 
 
 # ---- forward operations ----------------------------------------------------
@@ -220,7 +127,7 @@ def patchify(image: Tensor, patch_size: int) -> Tensor:
     return Tensor._wrap(np.ascontiguousarray(patches))
 
 
-def embed(patches: Tensor, pe: PatchEmbedding) -> Tensor:
+def embed(patches: Tensor, pe: dict[str, Tensor]) -> Tensor:
     """Project patches, prepend the class token, add position embeddings.
 
     ``patches`` is ``(N, P*P*C)`` or a stack ``(..., N, P*P*C)``; the class
@@ -228,18 +135,18 @@ def embed(patches: Tensor, pe: PatchEmbedding) -> Tensor:
     is exact.
     """
     *lead, n, _ = patches.data.shape
-    if pe.pos.shape[0] != n + 1:
+    if pe["E_pos"].shape[0] != n + 1:
         raise ShapeError(
-            f"position table has {pe.pos.shape[0]} rows, need {n + 1}")
-    d = pe.proj.shape[1]
-    cls_row = reshape(pe.cls, (1, d))
+            f"position table has {pe['E_pos'].shape[0]} rows, need {n + 1}")
+    d = pe["E"].shape[1]
+    cls_row = reshape(pe["x_class"], (1, d))
     if lead:
-        cls_row = matmul(Tensor._wrap(np.ones((*lead, 1, 1), pe.cls.data.dtype)), cls_row)
-    tokens = concat_rows([cls_row, matmul(patches, pe.proj)])
-    return add(tokens, pe.pos)
+        cls_row = matmul(Tensor._wrap(np.ones((*lead, 1, 1), pe["x_class"].dtype)), cls_row)
+    tokens = concat_rows([cls_row, matmul(patches, pe["E"])])
+    return add(tokens, pe["E_pos"])
 
 
-def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = None):
+def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None):
     """Multi-head self-attention with residual; also returns score capture.
 
     ``z`` is ``(S, D)`` or a stack ``(..., S, D)``. The heads are an axis: q
@@ -260,17 +167,17 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     swap = (*range(r), r + 1, r, r + 2)
     to_keys = (*range(r), r + 1, r + 2, r)
 
-    zn = layer_norm(z, layer.ln1_gamma, layer.ln1_beta)
+    zn = layer_norm(z, layer["ln1.gamma"], layer["ln1.beta"])
 
     def split(w: Tensor, axes) -> Tensor:
         return transpose(reshape(matmul(zn, w), (*lead, s, heads, dh)), axes)
 
-    q = split(layer.wq, swap)
-    k_t = split(layer.wk, to_keys)
-    v = split(layer.wv, swap)
+    q = split(layer["wq"], swap)
+    k_t = split(layer["wk"], to_keys)
+    v = split(layer["wv"], swap)
     sh = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
     merged = reshape(transpose(matmul(softmax(sh), v), swap), (*lead, s, d))
-    out = add(z, matmul(merged, layer.wo))
+    out = add(z, matmul(merged, layer["wo"]))
 
     if not np.isfinite(out.data).all():
         where = f"layer {layer_index}" if layer_index is not None else "attention block"
@@ -279,24 +186,24 @@ def msa(z: Tensor, layer: EncoderLayer, heads: int, layer_index: int | None = No
     return out, Tensor._wrap(sh.data.sum(axis=-3) / heads)
 
 
-def mlp(z: Tensor, layer: EncoderLayer) -> Tensor:
-    hidden = gelu(add(matmul(z, layer.w1), layer.b1))
-    return add(matmul(hidden, layer.w2), layer.b2)
+def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
+    hidden = gelu(add(matmul(z, layer["mlp.w1"]), layer["mlp.b1"]))
+    return add(matmul(hidden, layer["mlp.w2"]), layer["mlp.b2"])
 
 
-def _block(z: Tensor, layer: EncoderLayer, heads: int, layer_index):
+def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index):
     attended, scores = msa(z, layer, heads, layer_index)
-    normed = layer_norm(attended, layer.ln2_gamma, layer.ln2_beta)
+    normed = layer_norm(attended, layer["ln2.gamma"], layer["ln2.beta"])
     return add(attended, mlp(normed, layer)), scores
 
 
-def encoder_layer(z: Tensor, layer: EncoderLayer, heads: int,
+def encoder_layer(z: Tensor, layer: dict[str, Tensor], heads: int,
                   layer_index: int | None = None):
     """Full transformer block; returns (output, attention scores)."""
     return _block(z, layer, heads, layer_index)
 
 
-def forward_collect(z0: Tensor, layers: list[EncoderLayer], heads: int) -> EncoderTrace:
+def forward_collect(z0: Tensor, layers: list[dict[str, Tensor]], heads: int) -> EncoderTrace:
     """Run layers 1..L-1, recording every hidden state and score matrix."""
     if not layers:
         raise ConfigError("forward_collect needs at least one encoder layer")

@@ -37,6 +37,8 @@ def dumps(array: np.ndarray) -> bytes:
     arr = np.asarray(array)
     if arr.dtype not in _NAMES:
         raise FtzError(f"FTZ stores f32/f64 tensors only, got dtype {arr.dtype}")
+    if not np.isfinite(arr).all():  # what ``loads`` refuses
+        raise FtzError("payload holds non-finite values")
     header = json.dumps(
         {"dtype": _NAMES[arr.dtype], "shape": list(arr.shape)},
         separators=(",", ":"),

@@ -21,19 +21,13 @@ import numpy as np
 
 from . import ftz
 from .encoder import (
-    EncoderLayer,
     EncoderTrace,
     ModelConfig,
-    PatchEmbedding,
     embed,
     encoder_layer,
     forward_collect,
-    init_encoder_layer,
-    init_patch_embedding,
     patchify,
-    trunc_normal,
 )
-from .encoder import param_ones, param_zeros
 from .errors import ConfigError, ShapeError, TraceMismatchError
 from .selector import SelectionResult, select_per_layer
 from .tensor import (
@@ -60,22 +54,6 @@ class FusedSequence:
 
 
 @dataclass
-class ClassifierHead:
-    """Final layer-norm plus a stack of affine maps (GELU in between)."""
-
-    ln_gamma: Tensor
-    ln_beta: Tensor
-    affines: list[tuple[Tensor, Tensor]]
-
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield "head.ln.gamma", self.ln_gamma
-        yield "head.ln.beta", self.ln_beta
-        for i, (w, b) in enumerate(self.affines):
-            yield f"head.{i}.w", w
-            yield f"head.{i}.b", b
-
-
-@dataclass
 class ForwardResult:
     """Everything one forward pass produced.
 
@@ -89,18 +67,6 @@ class ForwardResult:
     trace: EncoderTrace
     selections: list[SelectionResult]
     fused: FusedSequence
-
-
-def init_classifier_head(cfg: ModelConfig, rng: np.random.Generator) -> ClassifierHead:
-    d = cfg.embed_dim
-    widths = [d] * (cfg.head_layers - 1) + [cfg.num_classes]
-    affines = []
-    prev = d
-    for width in widths:
-        affines.append((trunc_normal(rng, (prev, width)), param_zeros((width,))))
-        prev = width
-    return ClassifierHead(ln_gamma=param_ones((d,)), ln_beta=param_zeros((d,)),
-                          affines=affines)
 
 
 def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequence:
@@ -130,43 +96,91 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
     return FusedSequence(tokens=concat_rows(parts))
 
 
-class FuseVitModel:
-    """Encoder stack, token selector, fusion, and classifier head."""
+# ---- parameters -------------------------------------------------------------
 
-    def __init__(self, cfg: ModelConfig, embedder: PatchEmbedding,
-                 layers: list[EncoderLayer], head: ClassifierHead, dtype=np.float32):
-        if len(layers) != cfg.layers:
-            raise ConfigError(f"expected {cfg.layers} layers, got {len(layers)}")
+INIT_STD = 0.02
+
+
+def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, str, tuple[int, ...], str]]:
+    """Every parameter as ``(group, key, shape, init)``, in checkpoint order.
+
+    The checkpoint name is ``group.key``; ``init`` is "zeros", "ones" or
+    "normal", which ``build`` draws with ``trunc_normal`` in this order.
+    """
+    d, m = cfg.embed_dim, cfg.mlp_dim
+    table = [("embed", "E", (cfg.patch_dim, d), "normal"),
+             ("embed", "E_pos", (cfg.seq_len, d), "normal"),  # row 0: class-token slot
+             ("embed", "x_class", (d,), "normal")]
+    for i in range(1, cfg.layers + 1):
+        table += [(f"layer.{i}", key, shape, init) for key, shape, init in (
+            ("ln1.gamma", (d,), "ones"), ("ln1.beta", (d,), "zeros"),
+            ("wq", (d, d), "normal"), ("wk", (d, d), "normal"),
+            ("wv", (d, d), "normal"), ("wo", (d, d), "normal"),
+            ("ln2.gamma", (d,), "ones"), ("ln2.beta", (d,), "zeros"),
+            ("mlp.w1", (d, m), "normal"), ("mlp.b1", (m,), "zeros"),
+            ("mlp.w2", (m, d), "normal"), ("mlp.b2", (d,), "zeros"))]
+    table += [("head", "ln.gamma", (d,), "ones"), ("head", "ln.beta", (d,), "zeros")]
+    widths = [d] * (cfg.head_layers - 1) + [cfg.num_classes]
+    for i, (rows, width) in enumerate(zip([d] + widths, widths)):
+        table += [("head", f"{i}.w", (rows, width), "normal"),
+                  ("head", f"{i}.b", (width,), "zeros")]
+    return table
+
+
+def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
+    """Normal(0, INIT_STD) resampled until within two standard deviations."""
+    out = rng.normal(0.0, INIT_STD, size=shape)
+    bad = np.abs(out) > 2.0 * INIT_STD
+    while bad.any():
+        out[bad] = rng.normal(0.0, INIT_STD, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * INIT_STD
+    return out
+
+
+class FuseVitModel:
+    """Encoder stack, token selector, fusion, and classifier head.
+
+    ``params[group][key]`` holds each parameter of ``parameter_shapes``;
+    ``embedder``, ``layers`` and ``head`` are its groups.
+    """
+
+    def __init__(self, cfg: ModelConfig, source, dtype=np.float32):
+        """Walk ``parameter_shapes(cfg)``, taking each array from
+        ``source(name, shape, init)`` and casting it to ``dtype`` at once."""
         self.cfg = cfg
-        self.embedder = embedder
-        self.layers = layers
-        self.head = head
         self.dtype = np.dtype(dtype)
+        self.params: dict[str, dict[str, Tensor]] = {}
+        for group, key, shape, init in parameter_shapes(cfg):
+            array = source(f"{group}.{key}", shape, init)
+            self.params.setdefault(group, {})[key] = Tensor(array, requires_grad=True,
+                                                            dtype=self.dtype)
+        self.embedder = self.params["embed"]
+        self.layers = [self.params[f"layer.{i}"] for i in range(1, cfg.layers + 1)]
+        self.head = self.params["head"]
 
     @classmethod
     def build(cls, cfg: ModelConfig, dtype=np.float32) -> "FuseVitModel":
         """Construct with seeded truncated-normal init; reproducible per config.
 
-        The draws are float64; each part is cast to ``dtype`` as soon as it
-        is drawn, so at most one float64 part is held at a time.
+        Each float64 draw is written at once into a ``dtype`` array made
+        before it, so the draw's temporaries are freed last (lower peak RSS).
         """
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(0,)))
 
-        def cast(part, *index):
-            for _, p in part.named_parameters(*index):
-                p.data = p.data.astype(dtype, copy=False)
-            return part
+        def draw(_name, shape, init):
+            out = np.empty(shape, dtype)
+            if init == "normal":
+                out[...] = trunc_normal(rng, shape)
+            else:
+                out[...] = 1.0 if init == "ones" else 0.0
+            return out
 
-        embedder = cast(init_patch_embedding(cfg, rng))
-        layers = [cast(init_encoder_layer(cfg, rng), i) for i in range(1, cfg.layers + 1)]
-        head = cast(init_classifier_head(cfg, rng))
-        return cls(cfg, embedder, layers, head, dtype)
+        return cls(cfg, draw, dtype)
 
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
-        yield from self.embedder.named_parameters()
-        for i, layer in enumerate(self.layers, start=1):
-            yield from layer.named_parameters(i)
-        yield from self.head.named_parameters()
+        for group, params in self.params.items():
+            for key, p in params.items():
+                yield f"{group}.{key}", p
 
     def zero_grad(self) -> None:
         for _, p in self.named_parameters():
@@ -188,11 +202,11 @@ class FuseVitModel:
     def _classify(self, final_tokens: Tensor) -> Tensor:
         lead = final_tokens.data.shape[:-2]
         cls_row = gather_rows(final_tokens, np.zeros((*lead, 1), dtype=np.intp))
-        x = layer_norm(cls_row, self.head.ln_gamma, self.head.ln_beta)
-        for i, (w, b) in enumerate(self.head.affines):
+        x = layer_norm(cls_row, self.head["ln.gamma"], self.head["ln.beta"])
+        for i in range(self.cfg.head_layers):
             if i:
                 x = gelu(x)
-            x = add(matmul(x, w), b)
+            x = add(matmul(x, self.head[f"{i}.w"]), self.head[f"{i}.b"])
         return reshape(x, (*lead, self.cfg.num_classes))
 
     def _encode(self, image) -> EncoderTrace:
@@ -270,20 +284,20 @@ def load_checkpoint(directory) -> FuseVitModel:
     if dtype_name not in ("f32", "f64"):
         raise ConfigError(f'checkpoint dtype must be "f32" or "f64", got {dtype_name!r}')
     dtype = np.float64 if dtype_name == "f64" else np.float32
-    model = FuseVitModel.build(cfg, dtype)
-    named = dict(model.named_parameters())
-    missing = sorted(set(named) - set(files))
-    extra = sorted(set(files) - set(named))
+    names = {f"{group}.{key}" for group, key, _, _ in parameter_shapes(cfg)}
+    missing = sorted(names - set(files))
+    extra = sorted(set(files) - names)
     if missing or extra:
         raise ConfigError(
             f"checkpoint/config mismatch: missing params {missing}, unknown {extra}")
-    for name, tensor in named.items():
+
+    def read(name, shape, _init):
         if not isinstance(files[name], str):
             raise ConfigError(f"checkpoint params {name} must name a file, got {files[name]!r}")
         arr = ftz.read(directory / files[name])
-        if arr.shape != tensor.shape:
+        if arr.shape != shape:
             raise ConfigError(
-                f"checkpoint tensor {name} has shape {arr.shape}, "
-                f"config implies {tensor.shape}")
-        tensor.data = np.ascontiguousarray(arr.astype(dtype))
-    return model
+                f"checkpoint tensor {name} has shape {arr.shape}, config implies {shape}")
+        return arr
+
+    return FuseVitModel(cfg, read, dtype)

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, OracleError, ShapeError, TapeError, ConfigError
+from .errors import NumericError, ShapeError, TapeError, ConfigError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
@@ -385,59 +385,3 @@ def cross_entropy(logits: Tensor, label) -> Tensor:
         return (g[..., None] * d.astype(x.dtype, copy=False),)
 
     return _finish(out, (logits,), rule)
-
-
-# ---- gradient oracle -------------------------------------------------------
-
-
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
-    """Worst relative error between the tape gradient of f and central differences.
-
-    ``f`` must map one tensor to a scalar tensor and be deterministic; this is
-    verified by evaluating it twice and requiring bit-identical results.
-    Relative error per coordinate uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator.
-    """
-    if not h > 0:
-        raise ConfigError(f"finite difference step must be positive, got {h}")
-
-    def eval_value(arr: np.ndarray) -> float:
-        out = f(Tensor._wrap(arr))
-        if out.shape != ():
-            raise ShapeError(f"finite_diff_check needs a scalar function, got {out.shape}")
-        return float(out.data)
-
-    base = x.data.copy()
-    v1 = eval_value(base.copy())
-    v2 = eval_value(base.copy())
-    if v1 != v2:
-        raise OracleError("function under test is not deterministic")
-
-    leaf = Tensor(base.copy(), requires_grad=True, dtype=base.dtype)
-    with Tape() as tape:
-        out = f(leaf)
-        tape.backward(out)
-    analytic = leaf.grad.ravel() if leaf.grad is not None else np.zeros(base.size)
-    return _central_difference(lambda: eval_value(base), base.ravel(), analytic, h)
-
-
-def _central_difference(value: Callable[[], float], flat: np.ndarray,
-                        analytic: np.ndarray, h: float) -> float:
-    """Worst relative error of ``analytic`` against central differences.
-
-    ``flat`` is a flat view of the input that ``value`` reads; each coordinate
-    is moved by +h and -h in place, then restored.
-    """
-    worst = 0.0
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + h
-        fp = value()
-        flat[i] = saved - h
-        fm = value()
-        flat[i] = saved
-        numeric = (fp - fm) / (2.0 * h)
-        a = float(analytic[i])
-        denom = max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, abs(a - numeric) / denom)
-    return worst

@@ -426,6 +426,9 @@ BAD_MANIFESTS = {
     "checkpoint-config-float-for-int": ("checkpoint", edited(lambda m: m["config"].update(k=2.0))),
     "checkpoint-params-not-string": (
         "checkpoint", edited(lambda m: m["params"].update({"embed.E": 7}))),
+    "checkpoint-params-missing": ("checkpoint", edited(lambda m: m["params"].pop("head.0.b"))),
+    "checkpoint-params-unknown": (
+        "checkpoint", edited(lambda m: m["params"].update({"layer.9.wq": "layer.1.wq.ftz"}))),
     "dataset-split-list": ("ds", edited(lambda m: m["items"][0].update(split=["x"]))),
     "dataset-classes-off-the-spec": ("ds", edited(lambda m: m.update(classes=9))),
     "checkpoint-dtype-unknown": ("checkpoint", edited(lambda m: m.update(dtype="f16"))),
@@ -436,6 +439,13 @@ BAD_MANIFESTS = {
     "dataset-directory": ("ds", None),
     "checkpoint-directory": ("checkpoint", None),
 }
+
+
+def write_refused(path, arr):
+    """Write ``arr`` as FTZ bytes even when non-finite, which ``ftz.write`` refuses."""
+    blob = ftz.dumps(np.zeros_like(arr))
+    payload = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
+    path.write_bytes(blob[:len(blob) - len(payload)] + payload)
 
 
 class TestManifestBoundary:
@@ -497,7 +507,7 @@ class TestManifestBoundary:
         path = tmp_path / which / name
         arr = ftz.read(path)
         arr.flat[0] = bad
-        ftz.write(path, arr)
+        write_refused(path, arr)
         capsys.readouterr()
         code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
         err = capsys.readouterr().err.strip().split("\n")
@@ -506,7 +516,7 @@ class TestManifestBoundary:
 
     def test_non_finite_image_names_the_file(self, trained, tmp_path, capsys):
         bad = tmp_path / "nan.ftz"
-        ftz.write(bad, np.full((16, 16, 1), np.nan, np.float32))
+        write_refused(bad, np.full((16, 16, 1), np.nan, np.float32))
         capsys.readouterr()
         code = run_cli("inspect", "--checkpoint", str(trained[1]), "--image", str(bad),
                        "--out", str(tmp_path / "inspect"))
@@ -607,12 +617,25 @@ class TestManifestFuzz:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_one_edit_ends_in_exit_0_or_1(self, which, dirs, data):
+        self.check_edits(dirs, which, data, 1)
+
+    @pytest.mark.parametrize("which", ["ds", "checkpoint"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_two_edits_end_in_exit_0_or_1(self, which, dirs, data):
+        # such as a config value together with a params entry
+        self.check_edits(dirs, which, data, 2)
+
+    @staticmethod
+    def check_edits(dirs, which, data, count):
         path = dirs[which] / "manifest.json"
         original = path.read_text()
         manifest = json.loads(original)
-        key_path = data.draw(st.sampled_from(list(key_paths(manifest))))
-        value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
-        path.write_text(json.dumps(replaced(manifest, key_path, value)))
+        for _ in range(count):
+            key_path = data.draw(st.sampled_from(list(key_paths(manifest))))
+            value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+            manifest = replaced(manifest, key_path, value)
+        path.write_text(json.dumps(manifest))
         err = io.StringIO()
         try:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -4,17 +4,15 @@ import numpy as np
 import pytest
 
 from fusevit.encoder import (
-    EncoderLayer,
     ModelConfig,
     forward_collect,
-    init_encoder_layer,
-    init_patch_embedding,
     msa,
     encoder_layer,
     embed,
     patchify,
 )
 from fusevit.errors import ConfigError, ShapeError
+from fusevit.model import FuseVitModel
 from fusevit.tensor import LN_EPS, Tensor, softmax
 
 
@@ -32,7 +30,7 @@ def make_layer(rng, d, mlp_dim):
     cfg = ModelConfig(image_h=16, image_w=16, channels=1, patch_size=8,
                       embed_dim=d, layers=2, heads=1, mlp_dim=mlp_dim, k=1,
                       selector="maws", num_classes=2, seed=int(rng.integers(1 << 30)))
-    return init_encoder_layer(cfg, rng)
+    return FuseVitModel.build(cfg, np.float64).layers[0]
 
 
 class TestModelConfig:
@@ -90,46 +88,46 @@ class TestPatchify:
 
 
 class TestEmbed:
-    def _pe(self, rng, n, patch_dim, d):
+    def _pe(self, n, patch_dim, d):
         cfg = ModelConfig(image_h=16, image_w=16, channels=1, patch_size=8,
                           embed_dim=d, layers=2, heads=1, mlp_dim=8, k=1,
                           selector="maws", num_classes=2, seed=0)
-        pe = init_patch_embedding(cfg, rng)
-        assert pe.proj.shape == (patch_dim, d)
-        assert pe.pos.shape == (n + 1, d)
+        pe = FuseVitModel.build(cfg, np.float64).embedder
+        assert pe["E"].shape == (patch_dim, d)
+        assert pe["E_pos"].shape == (n + 1, d)
         return pe
 
     def test_zero_projection_returns_positions(self):
         rng = np.random.default_rng(0)
-        pe = self._pe(rng, 4, 64, 8)
-        pe.proj.data[:] = 0.0
-        pe.cls.data[:] = 0.0
+        pe = self._pe(4, 64, 8)
+        pe["E"].data[:] = 0.0
+        pe["x_class"].data[:] = 0.0
         patches = t64(rng.standard_normal((4, 64)))
         out = embed(patches, pe)
-        assert np.array_equal(out.data, pe.pos.data)
+        assert np.array_equal(out.data, pe["E_pos"].data)
 
     def test_zero_positions_expose_class_token(self):
         rng = np.random.default_rng(1)
-        pe = self._pe(rng, 4, 64, 8)
-        pe.pos.data[:] = 0.0
+        pe = self._pe(4, 64, 8)
+        pe["E_pos"].data[:] = 0.0
         patches = t64(rng.standard_normal((4, 64)))
         out = embed(patches, pe)
-        assert np.array_equal(out.data[0], pe.cls.data)
+        assert np.array_equal(out.data[0], pe["x_class"].data)
 
     def test_rows_match_per_row_dot_product_oracle(self):
         rng = np.random.default_rng(2)
-        pe = self._pe(rng, 4, 64, 8)
+        pe = self._pe(4, 64, 8)
         patches = rng.standard_normal((4, 64))
         out = embed(t64(patches), pe).data
         for i in range(4):
-            expected = np.array([patches[i] @ pe.proj.data[:, j] for j in range(8)])
-            expected = expected + pe.pos.data[i + 1]
+            expected = np.array([patches[i] @ pe["E"].data[:, j] for j in range(8)])
+            expected = expected + pe["E_pos"].data[i + 1]
             assert np.allclose(out[i + 1], expected, atol=1e-6)
-        assert np.allclose(out[0], pe.cls.data + pe.pos.data[0], atol=1e-12)
+        assert np.allclose(out[0], pe["x_class"].data + pe["E_pos"].data[0], atol=1e-12)
 
     def test_position_count_mismatch_rejected(self):
         rng = np.random.default_rng(3)
-        pe = self._pe(rng, 4, 64, 8)
+        pe = self._pe(4, 64, 8)
         with pytest.raises(ShapeError):
             embed(t64(np.zeros((7, 64))), pe)
 
@@ -141,8 +139,8 @@ class TestMsa:
         z = t64(rng.standard_normal((1, 8)))
         out, scores = msa(z, layer, heads=1)
         assert softmax(scores).data[0, 0] == 1.0
-        zn = ln_oracle(z.data, layer.ln1_gamma.data, layer.ln1_beta.data)
-        expected = z.data + (zn @ layer.wv.data) @ layer.wo.data
+        zn = ln_oracle(z.data, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        expected = z.data + (zn @ layer["wv"].data) @ layer["wo"].data
         assert np.allclose(out.data, expected, atol=1e-10)
 
     def test_identical_rows_give_identical_outputs(self):
@@ -160,8 +158,8 @@ class TestMsa:
         layer = make_layer(rng, d, 8)
         z = rng.standard_normal((3, d))
         _, scores = msa(t64(z), layer, heads=1)
-        zn = ln_oracle(z, layer.ln1_gamma.data, layer.ln1_beta.data)
-        expected = (zn @ layer.wq.data) @ (zn @ layer.wk.data).T / np.sqrt(d)
+        zn = ln_oracle(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        expected = (zn @ layer["wq"].data) @ (zn @ layer["wk"].data).T / np.sqrt(d)
         assert np.allclose(scores.data, expected, atol=1e-6)
 
     def test_head_average_matches_per_head_capture(self):
@@ -169,8 +167,8 @@ class TestMsa:
         layer = make_layer(rng, 8, 16)
         z = rng.standard_normal((5, 8))
         _, scores = msa(t64(z), layer, heads=4)
-        zn = ln_oracle(z, layer.ln1_gamma.data, layer.ln1_beta.data)
-        q, k = zn @ layer.wq.data, zn @ layer.wk.data
+        zn = ln_oracle(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        q, k = zn @ layer["wq"].data, zn @ layer["wk"].data
         dh = 2  # width 8 over 4 heads
         per_head = [q[:, i:i + dh] @ k[:, i:i + dh].T / np.sqrt(dh) for i in range(0, 8, dh)]
         assert len(per_head) == 4
@@ -181,8 +179,8 @@ class TestEncoderLayer:
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(8)
         layer = make_layer(rng, 8, 16)
-        for w in (layer.wq, layer.wk, layer.wv, layer.wo, layer.w1, layer.w2):
-            w.data[:] = 0.0
+        for key in ("wq", "wk", "wv", "wo", "mlp.w1", "mlp.w2"):
+            layer[key].data[:] = 0.0
         z = rng.standard_normal((5, 8))
         out, _ = encoder_layer(t64(z), layer, heads=2)
         assert np.allclose(out.data, z, atol=1e-12)
@@ -205,8 +203,8 @@ class TestEncoderLayer:
 
         # independent numpy walk through the same block, one head at a time
         from scipy.special import erf
-        zn = ln_oracle(z, layer.ln1_gamma.data, layer.ln1_beta.data)
-        q, k, v = zn @ layer.wq.data, zn @ layer.wk.data, zn @ layer.wv.data
+        zn = ln_oracle(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        q, k, v = zn @ layer["wq"].data, zn @ layer["wk"].data, zn @ layer["wv"].data
         dh = d // heads
         head_outs = []
         for lo in range(0, d, dh):
@@ -215,11 +213,11 @@ class TestEncoderLayer:
             e = np.exp(s - s.max(axis=-1, keepdims=True))
             attn = e / e.sum(axis=-1, keepdims=True)
             head_outs.append(attn @ vh)
-        u = z + np.hstack(head_outs) @ layer.wo.data
-        un = ln_oracle(u, layer.ln2_gamma.data, layer.ln2_beta.data)
-        h = un @ layer.w1.data + layer.b1.data
+        u = z + np.hstack(head_outs) @ layer["wo"].data
+        un = ln_oracle(u, layer["ln2.gamma"].data, layer["ln2.beta"].data)
+        h = un @ layer["mlp.w1"].data + layer["mlp.b1"].data
         h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
-        expected = u + h @ layer.w2.data + layer.b2.data
+        expected = u + h @ layer["mlp.w2"].data + layer["mlp.b2"].data
         assert np.allclose(out.data, expected, atol=1e-5)
 
 
@@ -228,7 +226,7 @@ class TestForwardCollect:
         cfg = ModelConfig(image_h=16, image_w=16, channels=1, patch_size=8,
                           embed_dim=d, layers=layers, heads=2, mlp_dim=16, k=2,
                           selector="maws", num_classes=2, seed=0)
-        stack = [init_encoder_layer(cfg, rng) for _ in range(layers - 1)]
+        stack = FuseVitModel.build(cfg, np.float64).layers[:-1]
         z0 = t64(rng.standard_normal((n + 1, d)))
         return z0, stack
 

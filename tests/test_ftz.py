@@ -56,8 +56,23 @@ def test_bad_magic_rejected():
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_payload_rejected(bad, dtype):
+    # built by hand: the writer refuses such an array
+    name = "f32" if dtype is np.float32 else "f64"
+    header = json.dumps({"dtype": name, "shape": [2]}).encode()
+    payload = np.array([1.0, bad], dtype=np.dtype(dtype).newbyteorder("<")).tobytes()
     with pytest.raises(FtzError, match="non-finite"):
-        ftz.loads(ftz.dumps(np.array([1.0, bad], dtype=dtype)))
+        ftz.loads(ftz_blob(header, payload))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_writer_refuses_what_the_reader_refuses(bad, dtype, tmp_path):
+    arr = np.array([[1.0, bad]], dtype=dtype)
+    with pytest.raises(FtzError, match="^payload holds non-finite values$"):
+        ftz.dumps(arr)
+    with pytest.raises(FtzError, match="non-finite"):
+        ftz.write(tmp_path / "bad.ftz", arr)
+    assert not (tmp_path / "bad.ftz").exists()
 
 
 def test_truncated_payload_rejected():

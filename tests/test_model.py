@@ -1,5 +1,8 @@
 """Fusion assembly, full forward passes, and checkpoint round-trips."""
 
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from scipy.special import erf
 
 from fusevit.encoder import AttentionRecord, EncoderTrace, ModelConfig
 from fusevit.errors import ConfigError, TraceMismatchError
-from fusevit.gradcheck import END_TO_END_H, END_TO_END_TOL
+from fusevit.gradcheck import END_TO_END_H, END_TO_END_TOL, _central_difference, toy_config
 from fusevit.model import (
     FuseVitModel,
     fuse,
@@ -19,7 +22,6 @@ from fusevit.tensor import (
     LN_EPS,
     Tape,
     Tensor,
-    _central_difference,
     cross_entropy,
     scale,
     sum_all,
@@ -146,27 +148,27 @@ def plain_vit_oracle(model, image):
         return e / e.sum(axis=-1, keepdims=True)
 
     pe = model.embedder
-    z = np.vstack([pe.cls.data[None, :], patches @ pe.proj.data]) + pe.pos.data
+    z = np.vstack([pe["x_class"].data[None, :], patches @ pe["E"].data]) + pe["E_pos"].data
     dh = cfg.embed_dim // cfg.heads
     for layer in model.layers:
-        zn = ln(z, layer.ln1_gamma.data, layer.ln1_beta.data)
-        q, k, v = zn @ layer.wq.data, zn @ layer.wk.data, zn @ layer.wv.data
+        zn = ln(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        q, k, v = zn @ layer["wq"].data, zn @ layer["wk"].data, zn @ layer["wv"].data
         heads = []
         for h in range(cfg.heads):
             sl = slice(h * dh, (h + 1) * dh)
             scores = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
             heads.append(row_softmax(scores) @ v[:, sl])
-        z = z + np.hstack(heads) @ layer.wo.data
-        un = ln(z, layer.ln2_gamma.data, layer.ln2_beta.data)
-        hmid = un @ layer.w1.data + layer.b1.data
+        z = z + np.hstack(heads) @ layer["wo"].data
+        un = ln(z, layer["ln2.gamma"].data, layer["ln2.beta"].data)
+        hmid = un @ layer["mlp.w1"].data + layer["mlp.b1"].data
         hmid = hmid * 0.5 * (1.0 + erf(hmid / np.sqrt(2.0)))
-        z = z + hmid @ layer.w2.data + layer.b2.data
+        z = z + hmid @ layer["mlp.w2"].data + layer["mlp.b2"].data
 
-    x = ln(z[0:1], model.head.ln_gamma.data, model.head.ln_beta.data)
-    for i, (w, b) in enumerate(model.head.affines):
+    x = ln(z[0:1], model.head["ln.gamma"].data, model.head["ln.beta"].data)
+    for i in range(cfg.head_layers):
         if i:
             x = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        x = x @ w.data + b.data
+        x = x @ model.head[f"{i}.w"].data + model.head[f"{i}.b"].data
     return x.reshape(-1)
 
 
@@ -366,6 +368,41 @@ class TestCheckpoint:
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ConfigError, match="shape"):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_load_makes_no_draw(self, tmp_path, monkeypatch):
+        model = FuseVitModel.build(toy_cfg(head_layers=2))
+        image = np.random.default_rng(19).uniform(0, 1, (2, 32, 32, 1)).astype(np.float32)
+        save_checkpoint(model, tmp_path / "ckpt")
+
+        def no_draw(*_):
+            raise AssertionError("load_checkpoint drew an initial parameter")
+
+        monkeypatch.setattr("fusevit.model.trunc_normal", no_draw)
+        loaded = load_checkpoint(tmp_path / "ckpt")
+        assert np.array_equal(loaded.forward(image).logits.data,
+                              model.forward(image).logits.data)
+
+
+class TestBuildDraws:
+    """``build``'s parameter stream is pinned: names in order, dtype, bytes.
+
+    The digests were taken from the per-part dataclass build that preceded the
+    parameter table, so they guard the order of the draws.
+    """
+
+    @pytest.mark.parametrize("cfg, dtype, digest", [
+        (ModelConfig(), np.float32,
+         "ab20978abdd30c59c098066cfa4f4103ac6257336255fa964956d8af7de2c875"),
+        (replace(toy_config(), head_layers=3), np.float64,
+         "f5c915e41815681b10b35bb92b91ab3cbed7428e325a5b37476a249bfcdc16c3"),
+    ], ids=["desk-f32", "toy-head3-f64"])
+    def test_parameter_stream_digest(self, cfg, dtype, digest):
+        h = hashlib.sha256()
+        for name, p in FuseVitModel.build(cfg, dtype).named_parameters():
+            h.update(name.encode())
+            h.update(p.data.dtype.str.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestMultiLayerHead:

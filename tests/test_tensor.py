@@ -5,13 +5,13 @@ import pytest
 
 from fusevit import tensor as T
 from fusevit.errors import ConfigError, NumericError, OracleError, ShapeError, TapeError
+from fusevit.gradcheck import finite_diff_check
 from fusevit.tensor import (
     Tape,
     Tensor,
     add,
     concat_rows,
     cross_entropy,
-    finite_diff_check,
     gather_rows,
     gelu,
     layer_norm,
