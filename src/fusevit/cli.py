@@ -35,7 +35,6 @@ class RunConfig:
 
     # model
     image_size: int = 32
-    channels: int = 1
     patch: int = 8
     dim: int = 32
     layers: int = 4
@@ -51,7 +50,6 @@ class RunConfig:
     batch: int = 8
     seed: int = 0
     flip: bool = True
-    crop: int | None = None       # defaults to image_size
     resize_to: int | None = None  # defaults to image_size
     # synthetic dataset
     classes: int = 5
@@ -89,16 +87,14 @@ class RunConfig:
     def model_config(self, num_classes: int) -> ModelConfig:
         return ModelConfig(
             image_h=self.image_size, image_w=self.image_size,
-            channels=self.channels, patch_size=self.patch, embed_dim=self.dim,
-            layers=self.layers, heads=self.heads,
+            patch_size=self.patch, embed_dim=self.dim, layers=self.layers, heads=self.heads,
             mlp_dim=4 * self.dim if self.mlp_dim is None else self.mlp_dim,
             k=self.k, selector=self.selector, num_classes=num_classes,
             seed=self.seed, head_layers=self.head_layers)
 
     def augment_config(self, size: int) -> AugmentConfig:
-        """Crop and resize default to ``size``, the model's input side."""
-        return AugmentConfig(flip=self.flip,
-                             crop_size=size if self.crop is None else self.crop,
+        """Crop to ``size``, the model's input side; resize defaults to it too."""
+        return AugmentConfig(flip=self.flip, crop_size=size,
                              resize_to=size if self.resize_to is None else self.resize_to)
 
     def train_config(self) -> TrainConfig:

@@ -81,43 +81,33 @@ class SynthDataset:
 def _smooth_background(rng: np.random.Generator, size: int) -> np.ndarray:
     # low-resolution noise upsampled bilinearly, scaled into [0, 0.5]
     coarse = rng.uniform(0.0, 1.0, size=(5, 5))
-    bg = bilinear_resize(coarse[:, :, None], size, size)[:, :, 0]
+    bg = bilinear_resize(coarse[:, :, None], size, size)
     return (0.5 * bg).astype(np.float64)
 
 
 def generate_synth(spec: SynthSpec) -> SynthDataset:
     """Deterministic dataset build: prototypes per class plus per-image noise."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-    size = spec.image_size
-    cell = size // SIGNAL_GRID
-    background = _smooth_background(rng, size)
-
-    prototypes = np.empty((spec.num_classes, size, size), dtype=np.float64)
-    total_cells = SIGNAL_GRID * SIGNAL_GRID
-    for c in range(spec.num_classes):
-        cells = rng.choice(total_cells, size=spec.signal_patch_count, replace=False)
-        proto = background.copy()
+    cell = spec.image_size // SIGNAL_GRID
+    prototypes = np.repeat(_smooth_background(rng, spec.image_size)[None],
+                           spec.num_classes, axis=0)
+    for proto in prototypes:
+        cells = rng.choice(SIGNAL_GRID * SIGNAL_GRID, size=spec.signal_patch_count,
+                           replace=False)
         for flat in cells:
             r, q = divmod(int(flat), SIGNAL_GRID)
-            texture = rng.uniform(-0.5, 0.5, size=(cell, cell))
+            texture = rng.uniform(-0.5, 0.5, size=(cell, cell, 1))
             proto[r * cell:(r + 1) * cell, q * cell:(q + 1) * cell] += (
                 spec.signal_amplitude * texture)
-        prototypes[c] = proto
 
     def draw(per_class: int) -> ImageSet:
-        images = np.empty((spec.num_classes * per_class, size, size, 1),
-                          dtype=np.float32)
-        labels = np.empty(spec.num_classes * per_class, dtype=np.int64)
-        i = 0
-        for c in range(spec.num_classes):
-            for _ in range(per_class):
-                img = prototypes[c]
-                if spec.noise_std > 0:
-                    img = img + rng.normal(0.0, spec.noise_std, size=(size, size))
-                images[i, :, :, 0] = img.astype(np.float32)
-                labels[i] = c
-                i += 1
-        return ImageSet(images=images, labels=labels)
+        # one noise draw fills the images in order, as one draw per image would
+        images = np.repeat(prototypes, per_class, axis=0)
+        if spec.noise_std > 0:
+            images += rng.normal(0.0, spec.noise_std, size=images.shape)
+        return ImageSet(images=images.astype(np.float32),
+                        labels=np.repeat(np.arange(spec.num_classes, dtype=np.int64),
+                                         per_class))
 
     return SynthDataset(spec=spec, train=draw(spec.train_per_class),
                         test=draw(spec.test_per_class))
@@ -220,9 +210,10 @@ def load_dataset(directory) -> SynthDataset:
     for item in items:
         if not isinstance(item, dict) or not isinstance(item.get("file"), str):
             raise ConfigError(f"malformed dataset manifest item {item!r}")
-        split = item.get("split", "train")
+        split = item.get("split")
         if not isinstance(split, str) or split not in splits:
-            raise ConfigError(f"unknown split {split!r} in manifest")
+            raise ConfigError(f"item {item['file']!r} has split {split!r}, "
+                              f"not \"train\" or \"test\"")
         label = item.get("label")
         if type(label) is not int or not 0 <= label < spec.num_classes:
             raise ConfigError(f"item {item['file']!r} has label {label!r} outside "

@@ -67,17 +67,16 @@ def loads(blob: bytes) -> np.ndarray:
         raise FtzError(f"FTZ shape must be a list of non-negative ints, got {shape!r}")
     dtype = _DTYPES[dtype_name]
     count = math.prod(shape)  # exact, where np.prod would wrap around
-    payload = blob[hstart + hlen:]
-    if len(payload) != count * dtype.itemsize:
-        raise FtzError(
-            f"payload holds {len(payload)} bytes, expected {count * dtype.itemsize}")
+    size = len(blob) - hstart - hlen
+    if size != count * dtype.itemsize:
+        raise FtzError(f"payload holds {size} bytes, expected {count * dtype.itemsize}")
     try:
-        arr = np.frombuffer(payload, dtype=dtype).reshape(shape)
+        arr = np.frombuffer(blob, dtype, count, offset=hstart + hlen).reshape(shape)
     except ValueError as exc:  # more axes, or a longer axis, than numpy allows
         raise FtzError(f"FTZ shape {shape} is not a numpy array shape: {exc}") from exc
     if not np.isfinite(arr).all():
         raise FtzError("payload holds non-finite values")
-    # native byte order, writable copy
+    # native byte order, and the one writable copy, since ``blob`` is immutable
     return arr.astype(dtype.newbyteorder("="), copy=True)
 
 
@@ -141,8 +140,6 @@ def check_types(cls, values: dict, what: str) -> None:
     """ConfigError unless every value fits its field of ``cls``: a bool is not
     an int, an int is fine for a float, and None only for ``T | None``."""
     for name, (kind, optional) in field_types(cls).items():
-        if name not in values:
-            continue
         value = values[name]
         if value is None:
             ok = optional

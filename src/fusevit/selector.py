@@ -57,17 +57,14 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
-def _result(layer_index: int, indices: np.ndarray, weights: np.ndarray) -> SelectionResult:
-    if indices.ndim == 1:
-        return SelectionResult(layer_index, indices.tolist(), weights.tolist())
-    return SelectionResult(layer_index, indices, weights)
-
-
 def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int,
            layer_index: int) -> SelectionResult:
     # candidates are 1..N; descending ranking, ties toward the lower index
     chosen = np.argsort(-ranking[..., 1:], axis=-1, kind="stable")[..., :k] + 1
-    return _result(layer_index, chosen, np.take_along_axis(weights, chosen, axis=-1))
+    picked = np.take_along_axis(weights, chosen, axis=-1)
+    if chosen.ndim == 1:
+        return SelectionResult(layer_index, chosen.tolist(), picked.tolist())
+    return SelectionResult(layer_index, chosen, picked)
 
 
 def saws(scores, k: int, layer_index: int = 0) -> SelectionResult:
@@ -92,11 +89,10 @@ def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
 
 
 def first_k(scores, k: int, layer_index: int = 0) -> SelectionResult:
-    """Ablation control: the first k token indices with unit weights, no ranking."""
+    """Ablation control: every token ties, so tokens 1..k, with unit weights."""
     a = _as_scores(scores)
     k = _check_k(k, a.shape[-1] - 1)
-    indices = np.broadcast_to(np.arange(1, k + 1), (*a.shape[:-2], k)).copy()
-    return _result(layer_index, indices, np.ones(indices.shape))
+    return _top_k(np.zeros(a.shape[:-1]), np.ones(a.shape[:-1]), k, layer_index)
 
 
 # selector name -> function; the order is the arm order of ``compare``

@@ -123,7 +123,7 @@ class Tape:
                 continue
             partials = rule(out_grad)
             for t, p in zip(inputs, partials):
-                if p is None or not t.requires_grad:
+                if not t.requires_grad:
                     continue
                 if t.grad is None:
                     # the first partial becomes the buffer; a rule may hand back
@@ -336,11 +336,11 @@ def gelu(v: Tensor) -> Tensor:
     """Exact-CDF GELU: x * Phi(x) with the Gaussian CDF, no tanh shortcut."""
     x = v.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor._wrap((x * cdf).astype(x.dtype, copy=False))
+    out = Tensor._wrap(x * cdf)
 
     def rule(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf).astype(x.dtype, copy=False),)
+        return (g * (cdf + x * pdf),)
 
     return _finish(out, (v,), rule)
 
@@ -350,7 +350,7 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor._wrap(a.data.sum(dtype=a.data.dtype).reshape(()))
 
     def rule(g):
-        return (np.broadcast_to(g, a.shape).astype(a.data.dtype, copy=False),)
+        return (np.broadcast_to(g, a.shape),)
 
     return _finish(out, (a,), rule)
 
@@ -382,6 +382,6 @@ def cross_entropy(logits: Tensor, label) -> Tensor:
 
     def rule(g):
         d = probs - (np.arange(n) == pick)
-        return (g[..., None] * d.astype(x.dtype, copy=False),)
+        return (g[..., None] * d,)
 
     return _finish(out, (logits,), rule)

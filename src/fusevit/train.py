@@ -43,6 +43,8 @@ class TrainConfig:
             raise ConfigError(f"total_steps must be positive, got {self.total_steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def cosine_lr(step: int, total: int, lr0: float) -> float:
@@ -135,8 +137,7 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
             raise NumericError(f"{exc} at step {step}") from exc
         correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
 
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for _, p in named]
+        grads = [p.grad for _, p in named]
         with np.errstate(over="ignore", invalid="ignore"):
             new_params, velocities = sgd_step(
                 [p.data for _, p in named], grads, velocities, lr, cfg.momentum)

@@ -231,7 +231,7 @@ def test_criterion_ablation_structure():
                      image_size=16, signal_patch_count=3, signal_amplitude=0.3,
                      noise_std=0.15, seed=9)
     dataset = generate_synth(hard)
-    cfg = RunConfig(image_size=16, channels=1, patch=8, dim=16, layers=3,
+    cfg = RunConfig(image_size=16, patch=8, dim=16, layers=3,
                     heads=2, mlp_dim=32, k=2, lr=5e-4, momentum=0.9,
                     steps=40, batch=4, seed=1)
     first = run_comparison(cfg, dataset)

@@ -77,9 +77,9 @@ class TestRunConfig:
 
     def test_int_for_float_and_null_for_optional_accepted(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"lr": 1, "mlp_dim": None, "crop": 16}))
+        path.write_text(json.dumps({"lr": 1, "mlp_dim": None, "resize_to": 16}))
         cfg = RunConfig.from_sources(str(path), {})
-        assert (cfg.lr, cfg.mlp_dim, cfg.crop) == (1, None, 16)
+        assert (cfg.lr, cfg.mlp_dim, cfg.resize_to) == (1, None, 16)
 
     def test_config_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -218,7 +218,7 @@ class TestTrain:
         assert run_cli("train", "--dataset", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "run")) == 1
 
-    @pytest.mark.parametrize("flag", ["--crop", "--resize-to", "--mlp-dim"])
+    @pytest.mark.parametrize("flag", ["--resize-to", "--mlp-dim"])
     def test_zero_is_not_the_default(self, tmp_path, capsys, flag):
         ds = gen_dataset(tmp_path)
         out = tmp_path / "run"
@@ -430,6 +430,8 @@ BAD_MANIFESTS = {
     "checkpoint-params-unknown": (
         "checkpoint", edited(lambda m: m["params"].update({"layer.9.wq": "layer.1.wq.ftz"}))),
     "dataset-split-list": ("ds", edited(lambda m: m["items"][0].update(split=["x"]))),
+    "dataset-split-missing": ("ds", edited(lambda m: m["items"][0].pop("split"))),
+    "dataset-items-not-list": ("ds", edited(lambda m: m.update(items={}))),
     "dataset-classes-off-the-spec": ("ds", edited(lambda m: m.update(classes=9))),
     "checkpoint-dtype-unknown": ("checkpoint", edited(lambda m: m.update(dtype="f16"))),
     "checkpoint-dtype-missing": ("checkpoint", edited(lambda m: m.pop("dtype"))),
@@ -537,7 +539,16 @@ class TestManifestBoundary:
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {path}: image shape"), err
 
-    @pytest.mark.parametrize("crop_flag", ["--crop", "--resize-to"])
+    def test_eval_class_count_mismatch_reports_one_error_line(self, trained, tmp_path,
+                                                              capsys):
+        ds = tmp_path / "ds2"
+        assert run_cli("gen", *GEN_ARGS, "--classes", "2", "--out", str(ds)) == 0
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(trained[1]))
+        assert code == 1
+        assert capsys.readouterr().err == "error: checkpoint has 3 classes, dataset has 2\n"
+
+    @pytest.mark.parametrize("crop_flag", ["--resize-to"])
     def test_eval_zero_crop_reports_one_error_line(self, trained, capsys, crop_flag):
         ds, ckpt = trained
         capsys.readouterr()
@@ -652,7 +663,7 @@ class TestManifestFuzz:
 FUZZ_CONFIG = {"image_size": 16, "patch": 8, "dim": 8, "layers": 2, "heads": 2,
                "mlp_dim": 16, "k": 2, "selector": "maws", "head_layers": 1,
                "steps": 1, "batch": 2, "lr": 0.001, "momentum": 0.9, "seed": 0,
-               "flip": True, "crop": 16, "resize_to": 16, "out": "run"}
+               "flip": True, "resize_to": 16, "out": "run"}
 
 
 class TestConfigFuzz:
@@ -660,12 +671,37 @@ class TestConfigFuzz:
     def dataset(self, tmp_path_factory):
         return gen_dataset(tmp_path_factory.mktemp("config-fuzz"))
 
+    def test_unedited_config_trains(self, dataset):
+        config = {**FUZZ_CONFIG, "dataset": str(dataset)}
+        assert self.run_train(config) == (0, [], ["cfg.json", "run"])
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_one_edit_ends_in_a_run_or_one_error_line(self, dataset, data):
+        self.check_edits(dataset, data, 1)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_two_edits_end_in_a_run_or_one_error_line(self, dataset, data):
+        self.check_edits(dataset, data, 2)
+
+    @classmethod
+    def check_edits(cls, dataset, data, count):
         config = {**FUZZ_CONFIG, "dataset": str(dataset)}
-        key = data.draw(st.sampled_from(sorted(config)))
-        value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+        for _ in range(count):
+            key = data.draw(st.sampled_from(sorted(config)))
+            value = data.draw(st.sampled_from([DELETE, *FUZZ_VALUES]))
+            config = replaced(config, (key,), value)
+        code, lines, made = cls.run_train(config)
+        assert code in (0, 1, 2)
+        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), lines
+        if code:
+            assert made == ["cfg.json"], (config, made)
+
+    @staticmethod
+    def run_train(config):
+        """``train --config`` in a scratch directory: the exit code, the stderr
+        lines and the files it made."""
         err = io.StringIO()
         home = os.getcwd()
         with tempfile.TemporaryDirectory() as work:
@@ -673,15 +709,11 @@ class TestConfigFuzz:
             os.chdir(work)
             try:
                 with open("cfg.json", "w") as f:
-                    json.dump(replaced(config, (key,), value), f)
+                    json.dump(config, f)
                 with contextlib.redirect_stderr(err), \
                         contextlib.redirect_stdout(io.StringIO()):
                     code = run_cli("train", "--config", "cfg.json")
                 made = sorted(os.listdir())
             finally:
                 os.chdir(home)
-        lines = err.getvalue().splitlines()
-        assert code in (0, 1, 2)
-        assert len(lines) <= 1 and all(line.startswith("error:") for line in lines), lines
-        if code:
-            assert made == ["cfg.json"], (key, value, made)
+        return code, err.getvalue().splitlines(), made

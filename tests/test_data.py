@@ -1,5 +1,8 @@
 """Synthetic dataset construction, augmentation, and the disk layout."""
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -42,6 +45,18 @@ class TestSynthSpec:
     def test_too_many_signal_patches_rejected(self):
         with pytest.raises(ConfigError):
             small_spec(signal_patch_count=SIGNAL_GRID * SIGNAL_GRID + 1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("num_classes", 0, "num_classes must be positive, got 0"),
+        ("signal_amplitude", 1.5, "signal_amplitude must be in (0, 1], got 1.5"),
+        ("noise_std", float("inf"), "noise_std must be finite and >= 0, got inf"),
+        ("signal_patch_count", 17, "signal_patch_count 17 exceeds the 16 available cells"),
+        ("image_size", 3, "image_size must be at least 4"),
+    ])
+    def test_message_names_the_field(self, field, value, message):
+        with pytest.raises(ConfigError) as info:
+            small_spec(**{field: value})
+        assert str(info.value) == message
 
 
 class TestGenerateSynth:
@@ -87,6 +102,22 @@ class TestGenerateSynth:
         ds = generate_synth(small_spec(noise_std=0.05))
         cls = ds.train.images[ds.train.labels == 0]
         assert not np.array_equal(cls[0], cls[1])
+
+    # digests taken from the per-image generator that preceded the batched one,
+    # so they pin the order of the draws
+    @pytest.mark.parametrize("spec, digest", [
+        (small_spec(), "105f4dda6ed34a0961cf0ac58a6a93a081626d831a1035640d87b9a166929253"),
+        (small_spec(noise_std=0.1, signal_amplitude=0.3, seed=3),
+         "fb9ad7724a2fa2f0eaa7b272611c8dee62f60aae3f0c30fabbde3be591f845b5"),
+    ], ids=["noise-free", "noisy"])
+    def test_images_and_labels_digest(self, spec, digest):
+        ds = generate_synth(spec)
+        h = hashlib.sha256()
+        for split in (ds.train, ds.test):
+            assert (split.images.dtype, split.labels.dtype) == (np.float32, np.int64)
+            h.update(split.images.tobytes())
+            h.update(split.labels.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestBilinearResize:
@@ -151,7 +182,6 @@ class TestDiskFormat:
         assert np.array_equal(back.test.labels, ds.test.labels)
 
     def test_manifest_schema(self, tmp_path):
-        import json
         ds = generate_synth(small_spec())
         save_dataset(ds, tmp_path / "ds")
         manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
@@ -163,3 +193,22 @@ class TestDiskFormat:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_dataset(tmp_path / "missing")
+
+    def test_split_without_items_loads_empty(self, tmp_path):
+        save_dataset(generate_synth(small_spec()), tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["items"] = [i for i in manifest["items"] if i["split"] == "train"]
+        path.write_text(json.dumps(manifest))
+        test = load_dataset(tmp_path / "ds").test
+        assert test.images.shape == (0, 16, 16, 1) and test.images.dtype == np.float32
+        assert test.labels.shape == (0,) and test.labels.dtype == np.int64
+
+    def test_item_without_split_rejected(self, tmp_path):
+        save_dataset(generate_synth(small_spec()), tmp_path / "ds")
+        path = tmp_path / "ds" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["items"][0]["split"]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ConfigError, match="'train_00000.ftz' has split None"):
+            load_dataset(tmp_path / "ds")

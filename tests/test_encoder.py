@@ -11,7 +11,7 @@ from fusevit.encoder import (
     embed,
     patchify,
 )
-from fusevit.errors import ConfigError, ShapeError
+from fusevit.errors import ConfigError, NumericError, ShapeError
 from fusevit.model import FuseVitModel
 from fusevit.tensor import LN_EPS, Tensor, softmax
 
@@ -31,6 +31,37 @@ def make_layer(rng, d, mlp_dim):
                       embed_dim=d, layers=2, heads=1, mlp_dim=mlp_dim, k=1,
                       selector="maws", num_classes=2, seed=int(rng.integers(1 << 30)))
     return FuseVitModel.build(cfg, np.float64).layers[0]
+
+
+def overflowing_layer():
+    """A width-8 layer whose attention output overflows: every merged value is
+    1 and every ``wo`` entry 1e308."""
+    layer = make_layer(np.random.default_rng(11), 8, 16)
+    layer["ln1.gamma"].data[:] = 0.0
+    layer["ln1.beta"].data[:] = 1.0
+    layer["wv"].data[...] = np.eye(8)
+    layer["wo"].data[...] = 1e308
+    return layer
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ModelConfig(seed=-1), ConfigError, "seed must be non-negative, got -1"),
+    (lambda: ModelConfig(image_h=16, image_w=4, patch_size=8, k=1), ConfigError,
+     "patch size 8 too large for 16x4 images"),
+    (lambda: patchify(t64(np.zeros((4, 4))), 2), ShapeError,
+     "patchify expects HxWxC, got shape (4, 4)"),
+    (lambda: msa(t64(np.zeros((3, 8))), overflowing_layer(), 3), ShapeError,
+     "width 8 not divisible by 3 heads"),
+    (lambda: msa(t64(np.zeros((3, 8))), overflowing_layer(), 2, 3), NumericError,
+     "non-finite values in attention output of layer 3"),
+    (lambda: msa(t64(np.zeros((3, 8))), overflowing_layer(), 2), NumericError,
+     "non-finite values in attention output of attention block"),
+], ids=["negative-seed", "patch-too-large", "patchify-rank", "msa-width", "msa-layer",
+        "msa-block"])
+def test_bad_input_raises_typed_error(call, error, message):
+    with np.errstate(over="ignore"), pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestModelConfig:

@@ -118,6 +118,14 @@ class TestFuse:
         with pytest.raises(TraceMismatchError):
             fuse(trace, bad)
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_selection_count_off_the_trace_rejected(self, count):
+        trace = random_trace(np.random.default_rng(9), layers=2, n=4, d=4)
+        selections = [SelectionResult(i, [1], [1.0]) for i in range(1, count + 1)]
+        with pytest.raises(TraceMismatchError) as info:
+            fuse(trace, selections)
+        assert str(info.value) == f"{count} selections for 2 traced layers"
+
     def test_out_of_range_index_rejected(self):
         rng = np.random.default_rng(8)
         trace = random_trace(rng, layers=1, n=4, d=4)
@@ -246,6 +254,13 @@ class TestForwardPasses:
         for record, sel in zip(result.trace.attention, result.selections):
             redo = maws(record.scores, model.cfg.k, record.layer_index)
             assert redo.indices == sel.indices
+
+    def test_tensor_image_of_the_other_dtype_is_cast(self):
+        model = FuseVitModel.build(toy_cfg(), dtype=np.float64)
+        image = np.random.default_rng(17).uniform(0, 1, (32, 32, 1)).astype(np.float32)
+        got = model.forward(Tensor(image)).logits
+        assert got.dtype == np.float64
+        assert np.array_equal(got.data, model.forward(image).logits.data)
 
     def test_wrong_image_shape_rejected(self):
         model = FuseVitModel.build(toy_cfg())

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fusevit.encoder import AttentionRecord, EncoderTrace
-from fusevit.errors import ConfigError
+from fusevit.errors import ConfigError, ShapeError
 from fusevit.selector import (
     REGISTRY,
     SelectionResult,
+    first_k,
     maws,
     saws,
     select_per_layer,
@@ -141,6 +142,20 @@ class TestSelectPerLayer:
         results = select_per_layer(random_trace(rng, 2, 8), 3, "none")
         assert all(r.indices == [1, 2, 3] for r in results)
         assert all(r.weights == [1.0, 1.0, 1.0] for r in results)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: saws(np.zeros((3, 4)), 1), ShapeError,
+     "attention scores must be square, got shape (3, 4)"),
+    (lambda: first_k(np.zeros(4), 1), ShapeError,
+     "attention scores must be square, got shape (4,)"),
+    (lambda: select_per_layer(random_trace(np.random.default_rng(0), 1, 3), 1, "top"),
+     ConfigError, "selector kind must be one of ('none', 'saws', 'maws'), got 'top'"),
+], ids=["non-square", "vector", "unknown-kind"])
+def test_bad_input_raises_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 # ---- invariants --------------------------------------------------------------

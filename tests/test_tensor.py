@@ -493,3 +493,66 @@ def test_forward_and_gradient_determinism():
     loss2, grad2 = run()
     assert loss1 == loss2
     assert np.array_equal(grad1, grad2)
+
+
+def _vector_valued(x):
+    return mul(x, x)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: add(t64(np.zeros((2, 3))), t64(np.zeros(2))), ShapeError,
+     "add shape mismatch: (2, 3) + (2,)"),
+    (lambda: mul(t64(np.zeros(2)), t64(np.zeros(3))), ShapeError,
+     "mul shape mismatch: (2,) * (3,)"),
+    (lambda: reshape(t64(np.zeros(6)), (4, 2)), ShapeError, "cannot reshape (6,) to (4, 2)"),
+    (lambda: concat_rows([]), ShapeError, "concat_rows of zero tensors"),
+    (lambda: concat_rows([t64(np.zeros((2, 3))), t64(np.zeros((2, 4)))]), ShapeError,
+     "concat_rows shape mismatch: [(2, 3), (2, 4)]"),
+    (lambda: gather_rows(t64(np.zeros((2, 3, 4))), [0, 1]), ShapeError,
+     "gather_rows of indices shaped (2,) from shape (2, 3, 4)"),
+    (lambda: gather_rows(t64(np.zeros((3, 4))), [0, 3]), ShapeError,
+     "row indices [0, 3] out of range for (3, 4)"),
+    (lambda: layer_norm(t64(np.zeros((2, 4))), t64(np.ones(4)), t64(np.zeros(3))), ShapeError,
+     "layer_norm affine shapes (4,)/(3,) do not match D=4"),
+    (lambda: finite_diff_check(sum_all, t64([1.0]), h=0.0), ConfigError,
+     "finite difference step must be positive, got 0.0"),
+    (lambda: finite_diff_check(_vector_valued, t64([1.0, 2.0])), ShapeError,
+     "finite_diff_check needs a scalar function, got (2,)"),
+], ids=["add", "mul", "reshape", "concat-empty", "concat-mismatch", "gather-index-shape",
+        "gather-range", "layer-norm-affine", "fd-step", "fd-non-scalar"])
+def test_bad_input_raises_typed_error(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_integer_data_is_stored_as_f32():
+    t = Tensor(np.arange(3), dtype=np.int64)
+    assert t.dtype == np.float32 and t.data.tolist() == [0.0, 1.0, 2.0]
+
+
+def test_repr_names_shape_dtype_and_grad_flag():
+    assert repr(t64(np.zeros((2, 3)))) == "Tensor(shape=(2, 3), dtype=float64)"
+    assert repr(Tensor([1.0], requires_grad=True)) == \
+        "Tensor(shape=(1,), dtype=float32, requires_grad=True)"
+
+
+def test_tape_length_counts_recorded_ops():
+    x = t64([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        sum_all(mul(x, x))
+        sum_all(t64([3.0]))  # no input needs a gradient: not recorded
+    assert len(tape) == 2
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op", [gelu, sum_all, lambda x: cross_entropy(x, np.array([2, 0]))],
+                         ids=["gelu", "sum_all", "cross_entropy"])
+def test_value_and_gradient_keep_the_input_dtype(op, dtype):
+    x = Tensor(np.random.default_rng(3).standard_normal((2, 5)), requires_grad=True,
+               dtype=dtype)
+    with Tape() as tape:
+        out = op(x)
+        tape.backward(sum_all(out))
+    assert out.dtype == dtype
+    assert x.grad.dtype == dtype

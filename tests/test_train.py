@@ -2,6 +2,7 @@
 
 import inspect
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -108,6 +109,38 @@ def tiny_setup(selector="maws", steps=5, train_seed=0):
                        seed=train_seed,
                        augment=AugmentConfig(flip=True, crop_size=16, resize_to=16))
     return model, dataset, tcfg
+
+
+def train_without_images():
+    model, ds, tcfg = tiny_setup()
+    empty = ImageSet(ds.train.images[:0], ds.train.labels[:0])
+    train(model, replace(ds, train=empty), tcfg)
+
+
+def train_to_infinite_logits():
+    # the head reads a row of ones through weights of 1e38: every logit is inf
+    model, ds, tcfg = tiny_setup()
+    model.head["ln.gamma"].data[:] = 0.0
+    model.head["ln.beta"].data[:] = 1.0
+    model.head["0.w"].data[...] = 1e38
+    train(model, ds, tcfg)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: TrainConfig(total_steps=0), ConfigError, "total_steps must be positive, got 0"),
+    (lambda: TrainConfig(batch_size=0), ConfigError, "batch_size must be >= 1, got 0"),
+    (lambda: TrainConfig(seed=-1), ConfigError, "seed must be non-negative, got -1"),
+    (lambda: cosine_lr(0, 0, 0.1), ConfigError, "total must be >= 1, got 0"),
+    (lambda: sgd_step([np.zeros(2)], [], [np.zeros(2)], 0.1, 0.9), ConfigError,
+     "params, grads, velocities must align"),
+    (train_without_images, ConfigError, "training set is empty"),
+    (train_to_infinite_logits, NumericError, "non-finite loss at step 0"),
+], ids=["total-steps", "batch-size", "negative-seed", "cosine-total", "sgd-misaligned", "empty-train",
+        "non-finite-loss"])
+def test_bad_input_raises_typed_error(call, error, message):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
 
 
 class TestTrainLoop:
