@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -165,7 +165,10 @@ def cmd_gen(cfg: RunConfig) -> int:
 
 def _load_dataset_checked(cfg: RunConfig):
     _require(cfg, "dataset")
-    return load_dataset(cfg.dataset)
+    dataset = load_dataset(cfg.dataset)
+    if len(dataset.test) == 0:
+        raise ConfigError(f"dataset {cfg.dataset} has no test items to evaluate on")
+    return dataset
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -175,12 +178,13 @@ def cmd_train(cfg: RunConfig) -> int:
     model = FuseVitModel.build(model_cfg)
     tcfg = cfg.train_config()
     log = train(model, dataset, tcfg)
+    # evaluated before anything is written, so a model that overflows there leaves nothing
+    report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "train_log.csv").write_text(log.csv_text())
     save_checkpoint(model, out / "checkpoint")
-    report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
     print(f"selector={model_cfg.selector} steps={tcfg.total_steps} "
           f"final_train_loss={log.rows[-1].loss:.4f}")
     print(f"test_accuracy={report.accuracy:.4f} test_mean_loss={report.mean_loss:.4f}")
@@ -227,7 +231,7 @@ class ComparisonRow:
 @dataclass
 class ComparisonReport:
     rows: list[ComparisonRow]
-    init_losses: list[float]  # one per arm; equal whenever seeds are shared
+    init_loss: float  # the untrained backbone's, which every arm shares
 
     def csv_text(self) -> str:
         lines = [COMPARE_HEADER]
@@ -239,19 +243,17 @@ class ComparisonReport:
 def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
     """Train the three arms from identical seeds and collect accuracies.
 
-    The initial loss is measured with the plain (selector-free) forward pass
-    of the freshly initialized backbone, so identical init seeds yield
-    identical values for every arm by construction.
+    ``build`` draws the same parameters whatever the selector, so the initial
+    loss, taken with the plain (selector-free) forward pass of the untrained
+    backbone, is measured once and is every arm's.
     """
-    init_losses = []
+    model_cfg = cfg.model_config(dataset.num_classes)
+    tcfg = cfg.train_config()
+    init_loss = _plain_mean_loss(FuseVitModel.build(model_cfg),
+                                 dataset.test.images, dataset.test.labels)
     rows = []
     for variant in REGISTRY:
-        model_cfg = cfg.model_config(dataset.num_classes)
-        model_cfg.selector = variant
-        model = FuseVitModel.build(model_cfg)
-        init_losses.append(
-            _plain_mean_loss(model, dataset.test.images, dataset.test.labels))
-        tcfg = cfg.train_config()
+        model = FuseVitModel.build(replace(model_cfg, selector=variant))
         train(model, dataset, tcfg)
         test_report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
         train_report = evaluate(model, dataset.train, dataset.num_classes, tcfg.augment)
@@ -259,7 +261,7 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
                                   test_acc=test_report.accuracy,
                                   train_acc=train_report.accuracy,
                                   steps=tcfg.total_steps))
-    return ComparisonReport(rows=rows, init_losses=init_losses)
+    return ComparisonReport(rows=rows, init_loss=init_loss)
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -269,7 +271,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(report.csv_text())
-    print(f"shared initial loss (untrained backbone): {report.init_losses[0]:.6f}")
+    print(f"shared initial loss (untrained backbone): {report.init_loss:.6f}")
     print(COMPARE_HEADER)
     for r in report.rows:
         print(f"{r.variant},{r.test_acc:.4f},{r.train_acc:.4f},{r.steps}")

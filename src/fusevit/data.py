@@ -105,7 +105,11 @@ def generate_synth(spec: SynthSpec) -> SynthDataset:
         images = np.repeat(prototypes, per_class, axis=0)
         if spec.noise_std > 0:
             images += rng.normal(0.0, spec.noise_std, size=images.shape)
-        return ImageSet(images=images.astype(np.float32),
+        with np.errstate(over="ignore"):
+            images = images.astype(np.float32)
+        if not np.isfinite(images).all():
+            raise ConfigError(f"noise_std {spec.noise_std} overflows float32 pixels")
+        return ImageSet(images=images,
                         labels=np.repeat(np.arange(spec.num_classes, dtype=np.int64),
                                          per_class))
 

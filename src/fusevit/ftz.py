@@ -81,7 +81,11 @@ def loads(blob: bytes) -> np.ndarray:
 
 
 def write(path, array: np.ndarray) -> None:
-    Path(path).write_bytes(dumps(array))
+    try:
+        blob = dumps(array)
+    except FtzError as exc:
+        raise FtzError(f"{path}: {exc}") from exc
+    Path(path).write_bytes(blob)
 
 
 def read(path) -> np.ndarray:

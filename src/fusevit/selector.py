@@ -23,6 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
+from .tensor import Tensor, softmax
 
 
 @dataclass
@@ -43,11 +44,6 @@ def _as_scores(a) -> np.ndarray:
     if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
         raise ShapeError(f"attention scores must be square, got shape {arr.shape}")
     return arr
-
-
-def _softmax(v: np.ndarray) -> np.ndarray:
-    e = np.exp(v - v.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _check_k(k: int, n: int) -> int:
@@ -72,7 +68,7 @@ def saws(scores, k: int, layer_index: int = 0) -> SelectionResult:
     a = _as_scores(scores)
     k = _check_k(k, a.shape[-1] - 1)
     row = a[..., 0, :]
-    return _top_k(row, _softmax(row), k, layer_index)
+    return _top_k(row, softmax(Tensor._wrap(row)).data, k, layer_index)
 
 
 def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
@@ -84,7 +80,7 @@ def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
     """
     a = _as_scores(scores)
     k = _check_k(k, a.shape[-1] - 1)
-    mutual = _softmax(a[..., 0, :]) * _softmax(a[..., :, 0])
+    mutual = softmax(Tensor._wrap(a[..., 0, :])).data * softmax(Tensor._wrap(a[..., :, 0])).data
     return _top_k(mutual, mutual, k, layer_index)
 
 

@@ -36,7 +36,7 @@ class Tensor:
     data raises :class:`NumericError`.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         # order="C" stores the data C-contiguous and, unlike ascontiguousarray,
@@ -49,7 +49,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._tape: Tape | None = None
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "Tensor":
@@ -58,7 +57,6 @@ class Tensor:
         t.data = arr
         t.requires_grad = False
         t.grad = None
-        t._tape = None
         return t
 
     # ---- inspection -----------------------------------------------------
@@ -113,7 +111,8 @@ class Tape:
             raise TapeError("tape already replayed; run a new forward pass first")
         if loss.shape != ():
             raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-        if loss._tape is not self:
+        # the loss is normally the last record, so scan from the end
+        if not any(out is loss for out, _, _ in reversed(self._records)):
             raise TapeError("loss was not produced under this tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=loss.data.dtype)
@@ -144,10 +143,8 @@ _TAPE_STACK: list[Tape] = []
 
 def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
     if _TAPE_STACK and any(t.requires_grad for t in inputs):
-        tape = _TAPE_STACK[-1]
         out.requires_grad = True
-        out._tape = tape
-        tape._records.append((out, inputs, backward_rule))
+        _TAPE_STACK[-1]._records.append((out, inputs, backward_rule))
     return out
 
 
@@ -219,7 +216,7 @@ def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
     axes = tuple(reversed(range(ndim))) if axes is None else tuple(axes)
     if sorted(axes) != list(range(ndim)):
         raise ShapeError(f"transpose axes {axes} are not a permutation for {a.shape}")
-    out = Tensor._wrap(np.ascontiguousarray(a.data.transpose(axes)))
+    out = Tensor._wrap(np.asarray(a.data.transpose(axes), order="C"))
 
     def rule(g):
         return (g.transpose(np.argsort(axes)),)
@@ -288,7 +285,7 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 def softmax(v: Tensor) -> Tensor:
     """Row-wise softmax over the last axis, computed with max-subtraction."""
     x = v.data
-    if x.size == 0 or x.shape[-1] == 0:
+    if x.ndim == 0 or x.size == 0:
         raise ShapeError("softmax of an empty tensor")
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)

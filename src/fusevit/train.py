@@ -103,6 +103,8 @@ def _batches(count: int, batch_size: int, rng: np.random.Generator) -> Iterator[
         queue = queue[batch_size:]
 
 
+# a diverging step ends in the typed checks below, not in numpy's warnings
+@np.errstate(over="ignore", invalid="ignore")
 def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> TrainLog:
     """Run the schedule; mutates the model in place and returns the log."""
     if len(dataset.train) == 0:
@@ -138,9 +140,8 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
         correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
 
         grads = [p.grad for _, p in named]
-        with np.errstate(over="ignore", invalid="ignore"):
-            new_params, velocities = sgd_step(
-                [p.data for _, p in named], grads, velocities, lr, cfg.momentum)
+        new_params, velocities = sgd_step(
+            [p.data for _, p in named], grads, velocities, lr, cfg.momentum)
         # a non-finite gradient always makes its new parameter non-finite
         for (name, _), grad, arr in zip(named, grads, new_params):
             if not np.isfinite(arr).all():
@@ -167,6 +168,8 @@ class EvalReport:
     mean_loss: float
 
 
+# a diverged model ends in msa's finite check or the logits check, not in warnings
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model, image_set: ImageSet, num_classes: int,
              aug: AugmentConfig | None = None) -> EvalReport:
     """Center-crop evaluation in stacks of ``chunk_size`` images, one
@@ -187,6 +190,8 @@ def evaluate(model, image_set: ImageSet, num_classes: int,
             images = np.stack([augment(img, aug) for img in images])
         labels = image_set.labels[lo:lo + step]
         logits = np.asarray(model.forward(images).logits.data, dtype=np.float64)
+        if not np.isfinite(logits).all():
+            raise NumericError("non-finite logits in evaluation")
         for loss in cross_entropy(Tensor._wrap(logits), labels).data.tolist():
             loss_sum += loss
         np.add.at(totals, labels, 1)

@@ -241,12 +241,12 @@ def test_criterion_ablation_structure():
     structural = (variants == ["none", "saws", "maws"]
                   and all(0.0 <= row.test_acc <= 1.0 for row in first.rows)
                   and all(row.steps == 40 for row in first.rows))
-    shared_init = len(set(first.init_losses)) == 1
+    shared_init = first.init_loss == second.init_loss
     deterministic = first.csv_text() == second.csv_text()
     ok = structural and shared_init and deterministic
     accs = {r.variant: round(r.test_acc, 3) for r in first.rows}
     report("ablation-structure reproduction", ok,
-           f"rows={accs}, shared init loss={first.init_losses[0]:.4f}, "
+           f"rows={accs}, shared init loss={first.init_loss:.4f}, "
            f"deterministic={deterministic}")
     assert structural
     assert shared_init

@@ -7,15 +7,17 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusevit import ftz
-from fusevit.cli import RunConfig, build_parser, main
+from fusevit import cli, ftz
+from fusevit.cli import RunConfig, build_parser, main, run_comparison
+from fusevit.data import load_dataset
 from fusevit.gradcheck import end_to_end_check, op_checks
+from fusevit.model import FuseVitModel
 from fusevit.selector import REGISTRY, maws
 from fusevit.errors import ConfigError
 
@@ -214,6 +216,19 @@ class TestTrain:
         assert "at step 0" in err[0]
         assert not (out / "checkpoint").exists()
 
+    def test_diverging_run_prints_one_error_line(self, tmp_path, capsys):
+        # pytest turns any numpy RuntimeWarning into an error
+        ds = tmp_path / "d"
+        assert run_cli("gen", "--out", str(ds), "--seed", "1") == 0
+        out = tmp_path / "t"
+        capsys.readouterr()
+        code = run_cli("train", "--dataset", str(ds), "--out", str(out),
+                       "--steps", "4", "--lr", "1e10")
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: non-finite"), err
+        assert not out.exists()
+
     def test_missing_dataset_is_config_error(self, tmp_path):
         assert run_cli("train", "--dataset", str(tmp_path / "nope"),
                        "--out", str(tmp_path / "run")) == 1
@@ -254,6 +269,29 @@ class TestCompare:
                            "--image-size", "16", *TINY_MODEL, *TINY_TRAIN) == 0
             texts.append((out / "comparison.csv").read_text())
         assert texts[0] == texts[1]
+
+    def test_every_arm_builds_the_same_parameters(self):
+        # what makes the one initial loss every arm's
+        model_cfg = RunConfig(image_size=16, patch=8, dim=8, layers=2, heads=2,
+                              mlp_dim=16, k=2).model_config(3)
+        arms = [dict(FuseVitModel.build(replace(model_cfg, selector=variant))
+                     .named_parameters()) for variant in REGISTRY]
+        for arm in arms[1:]:
+            assert list(arm) == list(arms[0])
+            for name, p in arm.items():
+                assert p.data.tobytes() == arms[0][name].data.tobytes(), name
+
+    def test_initial_loss_is_taken_once(self, tmp_path, monkeypatch):
+        dataset = load_dataset(gen_dataset(tmp_path))
+        calls = []
+        plain_mean_loss = cli._plain_mean_loss
+        monkeypatch.setattr(cli, "_plain_mean_loss",
+                            lambda *a: calls.append(a) or plain_mean_loss(*a))
+        cfg = RunConfig(image_size=16, patch=8, dim=8, layers=2, heads=2, mlp_dim=16,
+                        k=2, steps=1, batch=2)
+        report = run_comparison(cfg, dataset)
+        assert len(calls) == 1
+        assert report.init_loss == plain_mean_loss(*calls[0])
 
 
 class TestInspect:
@@ -374,7 +412,7 @@ class TestExitCodes:
     def tiny_dataset(self, tmp_path_factory):
         return gen_dataset(tmp_path_factory.mktemp("tiny"))
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "0", "1e38"])
     @pytest.mark.parametrize("name", FLOAT_FIELDS)
     @pytest.mark.parametrize("command", ["gen", "train"])
     def test_float_field_edge_values_end_cleanly(self, command, name, value, tiny_dataset,
@@ -389,8 +427,9 @@ class TestExitCodes:
         capsys.readouterr()
         code = run_cli(*args)
         err = capsys.readouterr().err.strip().split("\n")
-        assert code in (0, 1)
-        if code == 1:
+        # a finite but huge learning rate diverges: a numeric error
+        assert code in ((0, 1, 2) if args[0] == "train" and flag == "--lr=1e38" else (0, 1))
+        if code:
             assert len(err) == 1 and err[0].startswith("error:"), err
             assert not out.exists()
 
@@ -538,6 +577,24 @@ class TestManifestBoundary:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert len(err) == 1 and err[0].startswith(f"error: {path}: image shape"), err
+
+    @pytest.mark.parametrize("command", ["train", "compare", "eval"])
+    def test_dataset_without_test_items_reports_one_error_line(self, command, trained,
+                                                               tmp_path, capsys):
+        ds, ckpt = trained
+        train_only = shutil.copytree(ds, tmp_path / "train-only")
+        manifest = json.loads((train_only / "manifest.json").read_text())
+        manifest["items"] = [i for i in manifest["items"] if i["split"] == "train"]
+        (train_only / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        code = run_cli(command, "--dataset", str(train_only), "--out", str(out),
+                       "--checkpoint", str(ckpt), "--image-size", "16", *TINY_MODEL,
+                       *TINY_TRAIN)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset {train_only} has no test items to evaluate on\n")
+        assert not out.exists()
 
     def test_eval_class_count_mismatch_reports_one_error_line(self, trained, tmp_path,
                                                               capsys):

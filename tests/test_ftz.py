@@ -75,6 +75,13 @@ def test_writer_refuses_what_the_reader_refuses(bad, dtype, tmp_path):
     assert not (tmp_path / "bad.ftz").exists()
 
 
+def test_writer_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.ftz"
+    with pytest.raises(FtzError) as info:
+        ftz.write(path, np.array([np.inf], dtype=np.float32))
+    assert str(info.value) == f"{path}: payload holds non-finite values"
+
+
 def test_truncated_payload_rejected():
     blob = ftz.dumps(np.zeros(4, dtype=np.float32))
     with pytest.raises(FtzError):

@@ -146,6 +146,10 @@ class TestTranspose:
             tape.backward(sum_all(mul(transpose(x, (1, 2, 0)), t64(w))))
         assert np.array_equal(x.grad, w.transpose(2, 0, 1))
 
+    def test_scalar_stays_a_scalar(self):
+        out = transpose(t64(2.0)).data
+        assert out.shape == () and out == 2.0
+
     @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3)])
     def test_non_permutation_rejected(self, axes):
         with pytest.raises(ShapeError, match="permutation"):
@@ -514,12 +518,16 @@ def _vector_valued(x):
      "row indices [0, 3] out of range for (3, 4)"),
     (lambda: layer_norm(t64(np.zeros((2, 4))), t64(np.ones(4)), t64(np.zeros(3))), ShapeError,
      "layer_norm affine shapes (4,)/(3,) do not match D=4"),
+    (lambda: softmax(t64(1.0)), ShapeError, "softmax of an empty tensor"),
+    (lambda: transpose(t64(1.0), (0,)), ShapeError,
+     "transpose axes (0,) are not a permutation for ()"),
     (lambda: finite_diff_check(sum_all, t64([1.0]), h=0.0), ConfigError,
      "finite difference step must be positive, got 0.0"),
     (lambda: finite_diff_check(_vector_valued, t64([1.0, 2.0])), ShapeError,
      "finite_diff_check needs a scalar function, got (2,)"),
 ], ids=["add", "mul", "reshape", "concat-empty", "concat-mismatch", "gather-index-shape",
-        "gather-range", "layer-norm-affine", "fd-step", "fd-non-scalar"])
+        "gather-range", "layer-norm-affine", "softmax-0d", "transpose-0d", "fd-step",
+        "fd-non-scalar"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()

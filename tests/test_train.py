@@ -117,13 +117,13 @@ def train_without_images():
     train(model, replace(ds, train=empty), tcfg)
 
 
-def train_to_infinite_logits():
+def with_infinite_logits(run):
     # the head reads a row of ones through weights of 1e38: every logit is inf
     model, ds, tcfg = tiny_setup()
     model.head["ln.gamma"].data[:] = 0.0
     model.head["ln.beta"].data[:] = 1.0
     model.head["0.w"].data[...] = 1e38
-    train(model, ds, tcfg)
+    run(model, ds, tcfg)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -134,9 +134,11 @@ def train_to_infinite_logits():
     (lambda: sgd_step([np.zeros(2)], [], [np.zeros(2)], 0.1, 0.9), ConfigError,
      "params, grads, velocities must align"),
     (train_without_images, ConfigError, "training set is empty"),
-    (train_to_infinite_logits, NumericError, "non-finite loss at step 0"),
+    (lambda: with_infinite_logits(train), NumericError, "non-finite loss at step 0"),
+    (lambda: with_infinite_logits(lambda m, ds, t: evaluate(m, ds.test, 3, t.augment)),
+     NumericError, "non-finite logits in evaluation"),
 ], ids=["total-steps", "batch-size", "negative-seed", "cosine-total", "sgd-misaligned", "empty-train",
-        "non-finite-loss"])
+        "non-finite-loss", "non-finite-logits"])
 def test_bad_input_raises_typed_error(call, error, message):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
         call()
