@@ -19,12 +19,12 @@ import numpy as np
 from . import ftz
 from .data import AugmentConfig, SynthSpec, generate_synth, load_dataset, save_dataset
 from .encoder import ModelConfig
-from .errors import ConfigError, FtzError, FuseVitError, ShapeError, TraceMismatchError
+from .errors import (ConfigError, FtzError, FuseVitError, NumericError, ShapeError,
+                     TraceMismatchError)
 from .gradcheck import format_report, run_suite
 from .model import FuseVitModel, load_checkpoint, save_checkpoint
 from .selector import REGISTRY, selection_trace_lines
-from .tensor import cross_entropy
-from .train import TrainConfig, chunk_size, evaluate, train
+from .train import TrainConfig, evaluate, train
 
 COMPARE_HEADER = "variant,test_acc,train_acc,steps"
 
@@ -208,18 +208,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _plain_mean_loss(model: FuseVitModel, images, labels) -> float:
-    """Mean plain-forward loss over stacks of ``chunk_size`` images, added in
-    image order."""
-    total = 0.0
-    step = chunk_size(model.cfg)
-    for lo in range(0, len(labels), step):
-        logits = model.plain_forward(images[lo:lo + step])
-        for loss in cross_entropy(logits, labels[lo:lo + step]).data.tolist():
-            total += loss
-    return total / len(labels)
-
-
 @dataclass
 class ComparisonRow:
     variant: str
@@ -244,13 +232,13 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
     """Train the three arms from identical seeds and collect accuracies.
 
     ``build`` draws the same parameters whatever the selector, so the initial
-    loss, taken with the plain (selector-free) forward pass of the untrained
-    backbone, is measured once and is every arm's.
+    loss, the mean test loss of the untrained ``none`` arm on the raw test
+    images, is measured once and is every arm's.
     """
     model_cfg = cfg.model_config(dataset.num_classes)
     tcfg = cfg.train_config()
-    init_loss = _plain_mean_loss(FuseVitModel.build(model_cfg),
-                                 dataset.test.images, dataset.test.labels)
+    init_loss = evaluate(FuseVitModel.build(replace(model_cfg, selector="none")),
+                         dataset.test, dataset.num_classes).mean_loss
     rows = []
     for variant in REGISTRY:
         model = FuseVitModel.build(replace(model_cfg, selector=variant))
@@ -281,13 +269,17 @@ def cmd_compare(cfg: RunConfig) -> int:
 def cmd_inspect(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "image", "out")
     model = load_checkpoint(cfg.checkpoint)
-    img = ftz.read(cfg.image)
+    img = ftz.read(cfg.image, model.dtype)
     expected = (model.cfg.image_h, model.cfg.image_w, model.cfg.channels)
     if img.shape != expected:
         raise ConfigError(
             f"image shape {img.shape} does not match checkpoint input {expected}")
 
-    result = model.forward(img)
+    # a diverged model ends in msa's finite check or the logits check, not in warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = model.forward(img)
+    if not np.isfinite(result.logits.data).all():
+        raise NumericError("non-finite logits")
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = selection_trace_lines(result.selections, model.cfg.selector)

@@ -223,12 +223,12 @@ def load_dataset(directory) -> SynthDataset:
             raise ConfigError(f"item {item['file']!r} has label {label!r} outside "
                               f"[0, {spec.num_classes})")
         path = directory / item["file"]
-        image = ftz.read(path)
+        image = ftz.read(path, np.float32)
         if image.shape != expected:
             raise ConfigError(f"{path}: image shape {image.shape} does not match "
                               f"the spec's {expected}")
         images, labels = splits[split]
-        images.append(image.astype(np.float32))
+        images.append(image)
         labels.append(label)
 
     def pack(split: str) -> ImageSet:

@@ -191,16 +191,16 @@ def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
     return add(matmul(hidden, layer["mlp.w2"]), layer["mlp.b2"])
 
 
-def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index):
+def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None):
+    """Full transformer block; returns (output, attention scores)."""
     attended, scores = msa(z, layer, heads, layer_index)
     normed = layer_norm(attended, layer["ln2.gamma"], layer["ln2.beta"])
     return add(attended, mlp(normed, layer)), scores
 
 
-def encoder_layer(z: Tensor, layer: dict[str, Tensor], heads: int,
-                  layer_index: int | None = None):
-    """Full transformer block; returns (output, attention scores)."""
-    return _block(z, layer, heads, layer_index)
+# two names, so a tracer can hook them apart: ``fusevit.encoder._block`` runs
+# layers 1..L-1 (through ``forward_collect``), ``fusevit.model.encoder_layer`` layer L
+encoder_layer = _block
 
 
 def forward_collect(z0: Tensor, layers: list[dict[str, Tensor]], heads: int) -> EncoderTrace:

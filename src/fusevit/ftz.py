@@ -47,8 +47,8 @@ def dumps(array: np.ndarray) -> bytes:
     return MAGIC + struct.pack("<I", len(header)) + header + payload.tobytes(order="C")
 
 
-def loads(blob: bytes) -> np.ndarray:
-    """Parse FTZ bytes back into a numpy array."""
+def loads(blob: bytes, dtype=None) -> np.ndarray:
+    """Parse FTZ bytes back into a numpy array, cast to ``dtype`` if given."""
     if len(blob) < len(MAGIC) + 4:
         raise FtzError("truncated FTZ data")
     if blob[: len(MAGIC)] != MAGIC:
@@ -65,19 +65,23 @@ def loads(blob: bytes) -> np.ndarray:
     if not isinstance(shape, list) or not all(
             type(s) is int and s >= 0 for s in shape):
         raise FtzError(f"FTZ shape must be a list of non-negative ints, got {shape!r}")
-    dtype = _DTYPES[dtype_name]
+    stored = _DTYPES[dtype_name]
     count = math.prod(shape)  # exact, where np.prod would wrap around
     size = len(blob) - hstart - hlen
-    if size != count * dtype.itemsize:
-        raise FtzError(f"payload holds {size} bytes, expected {count * dtype.itemsize}")
+    if size != count * stored.itemsize:
+        raise FtzError(f"payload holds {size} bytes, expected {count * stored.itemsize}")
     try:
-        arr = np.frombuffer(blob, dtype, count, offset=hstart + hlen).reshape(shape)
+        arr = np.frombuffer(blob, stored, count, offset=hstart + hlen).reshape(shape)
     except ValueError as exc:  # more axes, or a longer axis, than numpy allows
         raise FtzError(f"FTZ shape {shape} is not a numpy array shape: {exc}") from exc
     if not np.isfinite(arr).all():
         raise FtzError("payload holds non-finite values")
-    # native byte order, and the one writable copy, since ``blob`` is immutable
-    return arr.astype(dtype.newbyteorder("="), copy=True)
+    # the one writable copy, since ``blob`` is immutable: native order, or ``dtype``
+    with np.errstate(over="ignore"):  # only an f64 payload read as f32 can overflow
+        out = arr.astype(stored.newbyteorder("=") if dtype is None else dtype)
+    if out.dtype.itemsize < stored.itemsize and not np.isfinite(out).all():
+        raise FtzError(f"payload overflows {_NAMES[out.dtype]}")
+    return out
 
 
 def write(path, array: np.ndarray) -> None:
@@ -88,12 +92,12 @@ def write(path, array: np.ndarray) -> None:
     Path(path).write_bytes(blob)
 
 
-def read(path) -> np.ndarray:
+def read(path, dtype=None) -> np.ndarray:
     path = Path(path)
     if not path.is_file():
         raise FtzError(f"no FTZ file at {path}")
     try:
-        return loads(path.read_bytes())
+        return loads(path.read_bytes(), dtype)
     except FtzError as exc:
         raise FtzError(f"{path}: {exc}") from exc
 

@@ -294,7 +294,7 @@ def load_checkpoint(directory) -> FuseVitModel:
     def read(name, shape, _init):
         if not isinstance(files[name], str):
             raise ConfigError(f"checkpoint params {name} must name a file, got {files[name]!r}")
-        arr = ftz.read(directory / files[name])
+        arr = ftz.read(directory / files[name], dtype)
         if arr.shape != shape:
             raise ConfigError(
                 f"checkpoint tensor {name} has shape {arr.shape}, config implies {shape}")

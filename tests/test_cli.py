@@ -283,15 +283,29 @@ class TestCompare:
 
     def test_initial_loss_is_taken_once(self, tmp_path, monkeypatch):
         dataset = load_dataset(gen_dataset(tmp_path))
-        calls = []
-        plain_mean_loss = cli._plain_mean_loss
-        monkeypatch.setattr(cli, "_plain_mean_loss",
-                            lambda *a: calls.append(a) or plain_mean_loss(*a))
+        events = []
+        evaluate, train = cli.evaluate, cli.train
+
+        def recorded_evaluate(model, *args):
+            params = {n: p.data.tobytes() for n, p in model.named_parameters()}
+            report = evaluate(model, *args)
+            events.append(("evaluate", model.cfg, params, args, report))
+            return report
+
+        monkeypatch.setattr(cli, "evaluate", recorded_evaluate)
+        monkeypatch.setattr(cli, "train", lambda *a: events.append(("train",)) or train(*a))
         cfg = RunConfig(image_size=16, patch=8, dim=8, layers=2, heads=2, mlp_dim=16,
                         k=2, steps=1, batch=2)
         report = run_comparison(cfg, dataset)
-        assert len(calls) == 1
-        assert report.init_loss == plain_mean_loss(*calls[0])
+        before_training = events[:events.index(("train",))]
+        assert len(before_training) == 1
+        _, model_cfg, params, args, init = before_training[0]
+        untrained = replace(cfg.model_config(dataset.num_classes), selector="none")
+        assert model_cfg == untrained
+        assert params == {n: p.data.tobytes()
+                          for n, p in FuseVitModel.build(untrained).named_parameters()}
+        assert len(args) == 2 and args[0] is dataset.test  # raw images, no augment
+        assert report.init_loss == init.mean_loss
 
 
 class TestInspect:
@@ -330,6 +344,25 @@ class TestInspect:
         scores = ftz.read(out / "attention.layer1.ftz")
         redo = maws(scores, len(record["indices"]))
         assert redo.indices == record["indices"]
+
+    @pytest.mark.parametrize("names, factor, message", [
+        (("layer.1.wq", "layer.1.wk"), 1e25,
+         "error: non-finite values in attention output of layer 1"),
+        (("head.ln.gamma", "head.0.w"), 1e30, "error: non-finite logits"),
+    ], ids=["attention", "head"])
+    def test_overflowing_weights_print_one_error_line(self, tmp_path, capsys, names,
+                                                      factor, message):
+        # pytest turns any numpy RuntimeWarning into an error
+        ckpt, image = self._train(tmp_path)
+        for name in names:
+            ftz.write(ckpt / f"{name}.ftz", ftz.read(ckpt / f"{name}.ftz") * factor)
+        out = tmp_path / "inspect"
+        capsys.readouterr()
+        code = run_cli("inspect", "--checkpoint", str(ckpt), "--image", str(image),
+                       "--out", str(out))
+        assert code == 2
+        assert capsys.readouterr().err == message + "\n"
+        assert not out.exists()
 
     def test_image_shape_mismatch_is_config_error(self, tmp_path):
         ckpt, _ = self._train(tmp_path)
@@ -541,19 +574,26 @@ class TestManifestBoundary:
         assert len(err) == 1 and err[0].startswith(f"error: {path}: payload holds"), err
 
     @pytest.mark.parametrize("which, name, bad", [("checkpoint", "embed.E.ftz", np.nan),
-                                                  ("ds", "test_00000.ftz", np.inf)])
+                                                  ("ds", "test_00000.ftz", np.inf),
+                                                  ("checkpoint", "head.0.b.ftz", 1e300),
+                                                  ("ds", "train_00001.ftz", 1e300)])
     def test_non_finite_file_names_the_file(self, which, name, bad, trained, tmp_path,
                                             capsys):
+        # a finite ``bad`` is an f64 payload that float32, the dtype of the
+        # checkpoint and of every dataset image, cannot hold
         ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
         path = tmp_path / which / name
         arr = ftz.read(path)
+        if np.isfinite(bad):
+            arr = arr.astype(np.float64)
         arr.flat[0] = bad
         write_refused(path, arr)
         capsys.readouterr()
         code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
-        assert err == [f"error: {path}: payload holds non-finite values"]
+        problem = "overflows f32" if np.isfinite(bad) else "holds non-finite values"
+        assert err == [f"error: {path}: payload {problem}"]
 
     def test_non_finite_image_names_the_file(self, trained, tmp_path, capsys):
         bad = tmp_path / "nan.ftz"
@@ -619,7 +659,8 @@ class TestManifestBoundary:
         (b'{"dtype":["f32"],"shape":[16,16,1]}', b"\x00" * 1024),
         (b'{"dtype":"f32","shape":[4294967296,4294967296]}', b""),
         (b"[" * 100_000, b""),
-    ], ids=["list-dtype", "count-wraps-to-0", "nested-100k-deep"])
+        (b'{"dtype":"f64","shape":[16,16,1]}', np.full(256, 1e300, "<f8").tobytes()),
+    ], ids=["list-dtype", "count-wraps-to-0", "nested-100k-deep", "f64-overflows-f32"])
     def test_malformed_image_reports_one_error_line(self, header, payload, trained,
                                                     tmp_path, capsys):
         bad = tmp_path / "bad.ftz"

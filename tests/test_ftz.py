@@ -30,6 +30,28 @@ def test_round_trip_f64(tmp_path):
     assert np.array_equal(back, arr)
 
 
+@pytest.mark.parametrize("stored, target", [(np.float32, np.float64),
+                                            (np.float64, np.float32),
+                                            (np.float32, np.float32)])
+def test_read_casts_to_the_given_dtype(stored, target, tmp_path):
+    arr = np.random.default_rng(1).standard_normal((2, 3)).astype(stored)
+    path = tmp_path / "c.ftz"
+    ftz.write(path, arr)
+    back = ftz.read(path, target)
+    assert back.dtype == target and back.flags.writeable
+    assert back.tobytes() == arr.astype(target).tobytes()
+
+
+@pytest.mark.parametrize("big", [1e300, -1e39])
+def test_cast_that_overflows_f32_names_the_file(big, tmp_path):
+    path = tmp_path / "big.ftz"
+    ftz.write(path, np.array([1.0, big]))
+    assert ftz.read(path)[1] == big
+    with pytest.raises(FtzError) as info:
+        ftz.read(path, np.float32)
+    assert str(info.value) == f"{path}: payload overflows f32"
+
+
 def test_exact_byte_layout():
     arr = np.array([1.0, 2.0], dtype=np.float32)
     blob = ftz.dumps(arr)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import fusevit.train as train_module
-from fusevit.cli import _plain_mean_loss
 from fusevit.data import AugmentConfig, ImageSet, augment, generate_synth, SynthSpec
 from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError
@@ -400,18 +399,20 @@ class TestBatchedEvaluate:
 
 
 class TestPlainMeanLoss:
-    """compare's initial loss: plain forwards in stacks, summed image by image."""
+    """compare's initial loss: ``evaluate`` of the untrained ``none`` arm, in
+    stacks, equals every arm's plain forwards summed image by image."""
 
     @pytest.mark.parametrize("selector", sorted(REGISTRY))
     @pytest.mark.parametrize("count, chunk", STACKINGS)
     def test_equals_per_image_loop_bitwise(self, monkeypatch, selector, count, chunk):
-        model = small_model(selector, seed=6)
-        stack_images(monkeypatch, model.cfg, chunk)
+        arm = small_model(selector, seed=6)
+        stack_images(monkeypatch, arm.cfg, chunk)
         rng = np.random.default_rng(count)
         images = rng.uniform(0, 1, (count, 16, 16, 1)).astype(np.float32)
         labels = rng.integers(0, 3, count)
         total = 0.0
         for image, label in zip(images, labels):
-            logits = model.plain_forward(Tensor(image, dtype=model.dtype))
-            total += float(cross_entropy(logits, int(label)).data)
-        assert _plain_mean_loss(model, images, labels) == total / count
+            logits = arm.plain_forward(Tensor(image, dtype=arm.dtype)).data
+            total += float(cross_entropy(Tensor(logits, dtype=np.float64), int(label)).data)
+        untrained = FuseVitModel.build(replace(arm.cfg, selector="none"))
+        assert evaluate(untrained, ImageSet(images, labels), 3).mean_loss == total / count
