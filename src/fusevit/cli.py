@@ -150,11 +150,21 @@ def _require(cfg: RunConfig, *names: str) -> None:
         raise ConfigError(f"missing required option(s): {flags}")
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    """The required ``--out``, refused at once if it or a parent is not a directory."""
+    _require(cfg, "out")
+    out = Path(cfg.out)
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ConfigError(f"--out {out}: {blocker} is not a directory")
+    return out
+
+
 # ---- commands ------------------------------------------------------------------
 
 
 def cmd_gen(cfg: RunConfig) -> int:
-    _require(cfg, "out")
+    _out_dir(cfg)
     dataset = generate_synth(cfg.synth_spec())
     save_dataset(dataset, cfg.out)
     total = len(dataset.train) + len(dataset.test)
@@ -172,7 +182,7 @@ def _load_dataset_checked(cfg: RunConfig):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    _require(cfg, "out")
+    out = _out_dir(cfg)
     dataset = _load_dataset_checked(cfg)
     model_cfg = cfg.model_config(dataset.num_classes)
     model = FuseVitModel.build(model_cfg)
@@ -180,8 +190,6 @@ def cmd_train(cfg: RunConfig) -> int:
     log = train(model, dataset, tcfg)
     # evaluated before anything is written, so a model that overflows there leaves nothing
     report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
-
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "train_log.csv").write_text(log.csv_text())
     save_checkpoint(model, out / "checkpoint")
@@ -253,10 +261,9 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    _require(cfg, "out")
+    out = _out_dir(cfg)
     dataset = _load_dataset_checked(cfg)
     report = run_comparison(cfg, dataset)
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "comparison.csv").write_text(report.csv_text())
     print(f"shared initial loss (untrained backbone): {report.init_loss:.6f}")
@@ -268,6 +275,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_inspect(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "image", "out")
+    out = _out_dir(cfg)
     model = load_checkpoint(cfg.checkpoint)
     img = ftz.read(cfg.image, model.dtype)
     expected = (model.cfg.image_h, model.cfg.image_w, model.cfg.channels)
@@ -280,7 +288,6 @@ def cmd_inspect(cfg: RunConfig) -> int:
         result = model.forward(img)
     if not np.isfinite(result.logits.data).all():
         raise NumericError("non-finite logits")
-    out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = selection_trace_lines(result.selections, model.cfg.selector)
     (out / "selections.jsonl").write_text("\n".join(lines) + "\n")

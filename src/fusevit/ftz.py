@@ -28,22 +28,23 @@ from .errors import ConfigError, FtzError
 
 MAGIC = b"FFVTTNSR"
 
-_DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
-_NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+# FTZ dtype names (a checkpoint manifest's "dtype" too): name -> stored, native -> name
+DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
+NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
 
 
 def dumps(array: np.ndarray) -> bytes:
     """Serialize one array to FTZ bytes."""
     arr = np.asarray(array)
-    if arr.dtype not in _NAMES:
+    if arr.dtype not in NAMES:
         raise FtzError(f"FTZ stores f32/f64 tensors only, got dtype {arr.dtype}")
     if not np.isfinite(arr).all():  # what ``loads`` refuses
         raise FtzError("payload holds non-finite values")
     header = json.dumps(
-        {"dtype": _NAMES[arr.dtype], "shape": list(arr.shape)},
+        {"dtype": NAMES[arr.dtype], "shape": list(arr.shape)},
         separators=(",", ":"),
     ).encode("utf-8")
-    payload = np.ascontiguousarray(arr).astype(_DTYPES[_NAMES[arr.dtype]], copy=False)
+    payload = np.ascontiguousarray(arr).astype(DTYPES[NAMES[arr.dtype]], copy=False)
     return MAGIC + struct.pack("<I", len(header)) + header + payload.tobytes(order="C")
 
 
@@ -59,13 +60,13 @@ def loads(blob: bytes, dtype=None) -> np.ndarray:
         raise FtzError("truncated FTZ header")
     header = json_object(blob[hstart:hstart + hlen], "FTZ header", FtzError)
     dtype_name = header.get("dtype")
-    if type(dtype_name) is not str or dtype_name not in _DTYPES:
+    if type(dtype_name) is not str or dtype_name not in DTYPES:
         raise FtzError(f"unknown FTZ dtype {dtype_name!r}")
     shape = header.get("shape", [])
     if not isinstance(shape, list) or not all(
             type(s) is int and s >= 0 for s in shape):
         raise FtzError(f"FTZ shape must be a list of non-negative ints, got {shape!r}")
-    stored = _DTYPES[dtype_name]
+    stored = DTYPES[dtype_name]
     count = math.prod(shape)  # exact, where np.prod would wrap around
     size = len(blob) - hstart - hlen
     if size != count * stored.itemsize:
@@ -80,7 +81,7 @@ def loads(blob: bytes, dtype=None) -> np.ndarray:
     with np.errstate(over="ignore"):  # only an f64 payload read as f32 can overflow
         out = arr.astype(stored.newbyteorder("=") if dtype is None else dtype)
     if out.dtype.itemsize < stored.itemsize and not np.isfinite(out).all():
-        raise FtzError(f"payload overflows {_NAMES[out.dtype]}")
+        raise FtzError(f"payload overflows {NAMES[out.dtype]}")
     return out
 
 

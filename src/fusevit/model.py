@@ -81,17 +81,13 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
             f"{len(selections)} selections for {len(trace.hidden)} traced layers")
     cls_rows = np.zeros((*trace.hidden[-1].data.shape[:-2], 1), dtype=np.intp)
     parts = [gather_rows(trace.hidden[-1], cls_rows)]
-    for pos, sel in enumerate(selections, start=1):
-        if sel.layer_index != pos:
-            raise TraceMismatchError(
-                f"selection for layer {sel.layer_index} found at trace position {pos}")
-        hidden = trace.hidden[pos - 1]
+    for layer, (hidden, sel) in enumerate(zip(trace.hidden, selections), start=1):
         count = hidden.data.shape[-2]
         idx = np.asarray(sel.indices, dtype=np.intp)
         outside = idx[(idx < 1) | (idx >= count)]
         if outside.size:
             raise TraceMismatchError(
-                f"selected token {outside[0]} outside 1..{count - 1} at layer {pos}")
+                f"selected token {outside[0]} outside 1..{count - 1} at layer {layer}")
         parts.append(gather_rows(hidden, idx))
     return FusedSequence(tokens=concat_rows(parts))
 
@@ -149,6 +145,8 @@ class FuseVitModel:
         ``source(name, shape, init)`` and casting it to ``dtype`` at once."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
+        if self.dtype not in ftz.NAMES:  # what a checkpoint can name
+            raise ConfigError(f"model dtype must be float32 or float64, got {self.dtype}")
         self.params: dict[str, dict[str, Tensor]] = {}
         for group, key, shape, init in parameter_shapes(cfg):
             array = source(f"{group}.{key}", shape, init)
@@ -191,12 +189,12 @@ class FuseVitModel:
     def _check_image(self, image: Tensor) -> Tensor:
         expected = (self.cfg.image_h, self.cfg.image_w, self.cfg.channels)
         if not isinstance(image, Tensor):
-            image = Tensor(np.asarray(image), dtype=self.dtype)
+            image = Tensor(image, dtype=self.dtype)
         if image.ndim not in (3, 4) or image.shape[-3:] != expected:
             raise ShapeError(
                 f"image shape {image.shape} does not match {expected} or (B, *{expected})")
         if image.dtype != self.dtype:
-            image = Tensor(image.data.astype(self.dtype), dtype=self.dtype)
+            image = Tensor(image.data, dtype=self.dtype)
         return image
 
     def _classify(self, final_tokens: Tensor) -> Tensor:
@@ -266,7 +264,7 @@ def save_checkpoint(model: FuseVitModel, directory) -> None:
         params[name] = filename
     manifest = {
         "config": asdict(model.cfg),
-        "dtype": "f64" if model.dtype == np.float64 else "f32",
+        "dtype": ftz.NAMES[model.dtype],
         "params": params,
     }
     (directory / "manifest.json").write_text(
@@ -281,9 +279,9 @@ def load_checkpoint(directory) -> FuseVitModel:
     if not isinstance(files, dict):
         raise ConfigError(f"checkpoint params must be a JSON object, got {files!r}")
     dtype_name = manifest.get("dtype")
-    if dtype_name not in ("f32", "f64"):
+    if type(dtype_name) is not str or dtype_name not in ftz.DTYPES:  # a list is unhashable
         raise ConfigError(f'checkpoint dtype must be "f32" or "f64", got {dtype_name!r}')
-    dtype = np.float64 if dtype_name == "f64" else np.float32
+    dtype = ftz.DTYPES[dtype_name].newbyteorder("=")
     names = {f"{group}.{key}" for group, key, _, _ in parameter_shapes(cfg)}
     missing = sorted(names - set(files))
     extra = sorted(set(files) - names)

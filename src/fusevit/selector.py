@@ -30,13 +30,13 @@ from .tensor import Tensor, softmax
 class SelectionResult:
     """Top-k token indices of one layer, best first, with their weights.
 
-    For one image these are lists of Python ints and floats; for a stack of
-    images they are ``(..., k)`` arrays, one row per image.
+    Both are numpy arrays: ``(k,)`` for one image, ``(..., k)`` for a stack,
+    one row per image. A selection's layer is its position in the list that
+    holds it (layer 1 first).
     """
 
-    layer_index: int
-    indices: list[int] | np.ndarray
-    weights: list[float] | np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
 
 
 def _as_scores(a) -> np.ndarray:
@@ -53,25 +53,21 @@ def _check_k(k: int, n: int) -> int:
     return k
 
 
-def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int,
-           layer_index: int) -> SelectionResult:
+def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int) -> SelectionResult:
     # candidates are 1..N; descending ranking, ties toward the lower index
     chosen = np.argsort(-ranking[..., 1:], axis=-1, kind="stable")[..., :k] + 1
-    picked = np.take_along_axis(weights, chosen, axis=-1)
-    if chosen.ndim == 1:
-        return SelectionResult(layer_index, chosen.tolist(), picked.tolist())
-    return SelectionResult(layer_index, chosen, picked)
+    return SelectionResult(chosen, np.take_along_axis(weights, chosen, axis=-1))
 
 
-def saws(scores, k: int, layer_index: int = 0) -> SelectionResult:
+def saws(scores, k: int) -> SelectionResult:
     """Top-k tokens by the class-token row of the score matrix."""
     a = _as_scores(scores)
     k = _check_k(k, a.shape[-1] - 1)
     row = a[..., 0, :]
-    return _top_k(row, softmax(Tensor._wrap(row)).data, k, layer_index)
+    return _top_k(row, softmax(Tensor._wrap(row)).data, k)
 
 
-def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
+def maws(scores, k: int) -> SelectionResult:
     """Top-k tokens by mutual attention weight.
 
     For token i the weight is softmax(row 0)[i] * softmax(column 0)[i]:
@@ -81,14 +77,14 @@ def maws(scores, k: int, layer_index: int = 0) -> SelectionResult:
     a = _as_scores(scores)
     k = _check_k(k, a.shape[-1] - 1)
     mutual = softmax(Tensor._wrap(a[..., 0, :])).data * softmax(Tensor._wrap(a[..., :, 0])).data
-    return _top_k(mutual, mutual, k, layer_index)
+    return _top_k(mutual, mutual, k)
 
 
-def first_k(scores, k: int, layer_index: int = 0) -> SelectionResult:
+def first_k(scores, k: int) -> SelectionResult:
     """Ablation control: every token ties, so tokens 1..k, with unit weights."""
     a = _as_scores(scores)
     k = _check_k(k, a.shape[-1] - 1)
-    return _top_k(np.zeros(a.shape[:-1]), np.ones(a.shape[:-1]), k, layer_index)
+    return _top_k(np.zeros(a.shape[:-1]), np.ones(a.shape[:-1]), k)
 
 
 # selector name -> function; the order is the arm order of ``compare``
@@ -96,25 +92,19 @@ REGISTRY = {"none": first_k, "saws": saws, "maws": maws}
 
 
 def select_per_layer(trace, k: int, kind: str) -> list[SelectionResult]:
-    """Apply one selector independently to every recorded layer."""
+    """Apply one selector to every recorded layer; item ``i`` is layer ``i + 1``'s."""
     kind = str(kind).lower()
     if kind not in REGISTRY:
         raise ConfigError(f"selector kind must be one of {tuple(REGISTRY)}, got {kind!r}")
     select = REGISTRY[kind]
-    return [select(record.scores, k, record.layer_index) for record in trace.attention]
+    return [select(record.scores, k) for record in trace.attention]
 
 
 # ---- trace export ----------------------------------------------------------
 
 
 def selection_trace_lines(selections: Sequence[SelectionResult], kind: str) -> list[str]:
-    """JSON-lines export, one record per layer."""
-    lines = []
-    for sel in selections:
-        lines.append(json.dumps({
-            "layer": sel.layer_index,
-            "kind": kind.upper(),
-            "indices": list(sel.indices),
-            "weights": [float(w) for w in sel.weights],
-        }))
-    return lines
+    """JSON-lines export, one record per layer, numbered from 1."""
+    return [json.dumps({"layer": layer, "kind": kind.upper(),
+                        "indices": sel.indices.tolist(), "weights": sel.weights.tolist()})
+            for layer, sel in enumerate(selections, start=1)]

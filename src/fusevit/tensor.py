@@ -38,10 +38,13 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        # order="C" stores the data C-contiguous and, unlike ascontiguousarray,
-        # keeps a 0-d input 0-d
-        arr = np.asarray(data, dtype=dtype if dtype is not None else np.float32, order="C")
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
+        arr = np.asarray(data)
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            # a narrowing cast that overflows leaves inf for the finite check below;
+            # order="C", unlike ascontiguousarray, keeps a 0-d input 0-d
+            with np.errstate(over="ignore"):
+                arr = np.asarray(arr, dtype=dtype, order="C")
         if arr.dtype.type not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         if not np.isfinite(arr).all():

@@ -182,8 +182,8 @@ def test_criterion_selector_invariants():
         shifted[0, :] += c_row
         shifted[:, 0] += c_col
         shifted[0, 0] = a[0, 0] + c_row + c_col
-        good = (saws(a, k).indices == saws(shifted, k).indices
-                and maws(a, k).indices == maws(shifted, k).indices)
+        good = (saws(a, k).indices.tolist() == saws(shifted, k).indices.tolist()
+                and maws(a, k).indices.tolist() == maws(shifted, k).indices.tolist())
         shift_ok += good
 
     ok = perm_ok == 200 and shift_ok == 200

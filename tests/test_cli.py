@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -17,7 +18,8 @@ from fusevit import cli, ftz
 from fusevit.cli import RunConfig, build_parser, main, run_comparison
 from fusevit.data import load_dataset
 from fusevit.gradcheck import end_to_end_check, op_checks
-from fusevit.model import FuseVitModel
+from fusevit.encoder import ModelConfig
+from fusevit.model import FuseVitModel, save_checkpoint
 from fusevit.selector import REGISTRY, maws
 from fusevit.errors import ConfigError
 
@@ -343,7 +345,7 @@ class TestInspect:
         record = json.loads((out / "selections.jsonl").read_text().strip())
         scores = ftz.read(out / "attention.layer1.ftz")
         redo = maws(scores, len(record["indices"]))
-        assert redo.indices == record["indices"]
+        assert redo.indices.tolist() == record["indices"]
 
     @pytest.mark.parametrize("names, factor, message", [
         (("layer.1.wq", "layer.1.wk"), 1e25,
@@ -363,6 +365,24 @@ class TestInspect:
         assert code == 2
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
+
+    # sha256 of selections.jsonl for a fixed untrained 3-layer f32 model and image
+    @pytest.mark.parametrize("selector, digest", [
+        ("maws", "94f67e513fcdb47479b9d8d84048a41b9764ae0361bd1dfaa0dd35dfebee4e8d"),
+        ("saws", "ca832878788d5540660acfee337030a673d2158be6c037bb75d4243e488afce1"),
+        ("none", "5579ce0b06edf472a797ce0e0fa1c49e87260b5d0ed0388c4bce79a4eccf0606"),
+    ])
+    def test_selections_file_is_pinned(self, tmp_path, selector, digest):
+        cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, embed_dim=8, layers=3,
+                          heads=2, mlp_dim=16, k=3, selector=selector, num_classes=3,
+                          seed=11)
+        save_checkpoint(FuseVitModel.build(cfg), tmp_path / "ckpt")
+        image = tmp_path / "image.ftz"
+        ftz.write(image, np.random.default_rng(12).uniform(0, 1, (16, 16, 1)).astype(np.float32))
+        out = tmp_path / "inspect"
+        assert run_cli("inspect", "--checkpoint", str(tmp_path / "ckpt"), "--image",
+                       str(image), "--out", str(out)) == 0
+        assert hashlib.sha256((out / "selections.jsonl").read_bytes()).hexdigest() == digest
 
     def test_image_shape_mismatch_is_config_error(self, tmp_path):
         ckpt, _ = self._train(tmp_path)
@@ -465,6 +485,29 @@ class TestExitCodes:
         if code:
             assert len(err) == 1 and err[0].startswith("error:"), err
             assert not out.exists()
+
+
+class TestOutPath:
+    """An ``--out`` that is a file, or lies under one, is refused before any work."""
+
+    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("command", ["gen", "train", "compare", "inspect"])
+    def test_out_on_a_file_is_one_error_line(self, command, out, tmp_path, monkeypatch,
+                                             capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before --out was checked")
+
+        for name in ("generate_synth", "load_dataset", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.setattr(FuseVitModel, "build", no_work)
+        (tmp_path / "afile").write_text("kept")
+        code = run_cli(command, "--out", str(tmp_path / out), "--dataset", str(tmp_path / "ds"),
+                       "--checkpoint", str(tmp_path / "ckpt"), "--image", str(tmp_path / "i.ftz"))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "kept"
 
 
 def edited(change):

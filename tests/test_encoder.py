@@ -56,8 +56,10 @@ def overflowing_layer():
      "non-finite values in attention output of layer 3"),
     (lambda: msa(t64(np.zeros((3, 8))), overflowing_layer(), 2), NumericError,
      "non-finite values in attention output of attention block"),
+    (lambda: FuseVitModel.build(ModelConfig(), np.float16), ConfigError,
+     "model dtype must be float32 or float64, got float16"),
 ], ids=["negative-seed", "patch-too-large", "patchify-rank", "msa-width", "msa-layer",
-        "msa-block"])
+        "msa-block", "model-dtype"])
 def test_bad_input_raises_typed_error(call, error, message):
     with np.errstate(over="ignore"), pytest.raises(error) as info:
         call()

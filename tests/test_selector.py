@@ -43,11 +43,11 @@ class TestSaws:
         assert saws(GAMMA, 1).indices == [3]
 
     def test_gamma_k3_full_ordering(self):
-        assert saws(GAMMA, 3).indices == [3, 2, 1]
+        assert saws(GAMMA, 3).indices.tolist() == [3, 2, 1]
 
     def test_uniform_row_breaks_ties_by_lowest_index(self):
         a = np.zeros((6, 6))
-        assert saws(a, 3).indices == [1, 2, 3]
+        assert saws(a, 3).indices.tolist() == [1, 2, 3]
 
     def test_weights_are_softmaxed_row_entries(self):
         sel = saws(GAMMA, 2)
@@ -88,7 +88,7 @@ class TestMaws:
 
     def test_uniform_row_and_column_tie_break(self):
         a = np.zeros((6, 6))
-        assert maws(a, 4).indices == [1, 2, 3, 4]
+        assert maws(a, 4).indices.tolist() == [1, 2, 3, 4]
 
     def test_weights_strictly_positive_and_non_increasing(self):
         rng = np.random.default_rng(1)
@@ -124,24 +124,36 @@ class TestSelectPerLayer:
 
     def test_two_layer_model_yields_one_result(self):
         rng = np.random.default_rng(3)
-        results = select_per_layer(random_trace(rng, 1, 8), 3, "saws")
+        trace = random_trace(rng, 1, 8)
+        results = select_per_layer(trace, 3, "saws")
         assert len(results) == 1
-        assert results[0].layer_index == 1
+        assert np.array_equal(results[0].indices, saws(trace.attention[0].scores, 3).indices)
 
     def test_matches_direct_per_layer_calls(self):
         rng = np.random.default_rng(4)
         trace = random_trace(rng, layers=3, n=6)
         results = select_per_layer(trace, 2, "maws")
         for record, got in zip(trace.attention, results):
-            direct = maws(record.scores, 2, record.layer_index)
-            assert got.indices == direct.indices
-            assert got.weights == direct.weights
+            direct = maws(record.scores, 2)
+            assert got.indices.tolist() == direct.indices.tolist()
+            assert got.weights.tolist() == direct.weights.tolist()
 
     def test_none_kind_returns_leading_indices(self):
         rng = np.random.default_rng(5)
         results = select_per_layer(random_trace(rng, 2, 8), 3, "none")
-        assert all(r.indices == [1, 2, 3] for r in results)
-        assert all(r.weights == [1.0, 1.0, 1.0] for r in results)
+        assert all(r.indices.tolist() == [1, 2, 3] for r in results)
+        assert all(r.weights.tolist() == [1.0, 1.0, 1.0] for r in results)
+
+    @pytest.mark.parametrize("kind", sorted(REGISTRY))
+    def test_item_i_is_the_selector_on_layer_i_scores(self, kind):
+        # a selection's layer is its place in the list
+        trace = random_trace(np.random.default_rng(7), layers=4, n=6)
+        results = select_per_layer(trace, 3, kind)
+        assert len(results) == len(trace.attention)
+        for i, got in enumerate(results):
+            direct = REGISTRY[kind](trace.attention[i].scores, 3)
+            assert np.array_equal(got.indices, direct.indices)
+            assert np.array_equal(got.weights, direct.weights)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -197,8 +209,8 @@ def test_ranking_shift_invariance(seed, row_shift, col_shift):
     shifted[0, :] += row_shift
     shifted[:, 0] += col_shift
     shifted[0, 0] = a[0, 0] + row_shift + col_shift
-    assert saws(a, k).indices == saws(shifted, k).indices
-    assert maws(a, k).indices == maws(shifted, k).indices
+    assert saws(a, k).indices.tolist() == saws(shifted, k).indices.tolist()
+    assert maws(a, k).indices.tolist() == maws(shifted, k).indices.tolist()
 
 
 def test_maws_weights_factorize():
@@ -214,8 +226,8 @@ def test_maws_weights_factorize():
 
 
 def test_trace_export_format():
-    selections = [SelectionResult(1, [3, 1], [0.5, 0.25]),
-                  SelectionResult(2, [2, 4], [0.4, 0.1])]
+    selections = [SelectionResult(np.array([3, 1]), np.array([0.5, 0.25])),
+                  SelectionResult(np.array([2, 4]), np.array([0.4, 0.1]))]
     lines = selection_trace_lines(selections, "maws")
     assert len(lines) == 2
     first = json.loads(lines[0])
@@ -229,12 +241,11 @@ def test_stack_of_score_matrices_equals_each_matrix(kind):
     scores = rng.standard_normal((3, 2, 7, 7))
     scores[0, 1, 0, 1:4] = scores[0, 1, 0, 5]    # ties in the class-token row
     scores[2, 0] = 0.0                           # all tied
-    got = REGISTRY[kind](scores, 3, 2)
-    assert got.layer_index == 2
+    got = REGISTRY[kind](scores, 3)
     assert got.indices.shape == got.weights.shape == (3, 2, 3)
     for i in range(3):
         for j in range(2):
-            one = REGISTRY[kind](scores[i, j], 3, 2)
-            assert got.indices[i, j].tolist() == one.indices
-            assert got.weights[i, j].tolist() == one.weights
-            assert all(type(x) is int for x in one.indices)
+            one = REGISTRY[kind](scores[i, j], 3)
+            assert got.indices[i, j].tolist() == one.indices.tolist()
+            assert got.weights[i, j].tolist() == one.weights.tolist()
+            assert one.indices.dtype == np.intp

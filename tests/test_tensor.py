@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from fusevit import tensor as T
+from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError, OracleError, ShapeError, TapeError
 from fusevit.gradcheck import finite_diff_check
+from fusevit.model import FuseVitModel
 from fusevit.tensor import (
     Tape,
     Tensor,
@@ -525,9 +527,13 @@ def _vector_valued(x):
      "finite difference step must be positive, got 0.0"),
     (lambda: finite_diff_check(_vector_valued, t64([1.0, 2.0])), ShapeError,
      "finite_diff_check needs a scalar function, got (2,)"),
+    # an f64 value past the float32 range casts to inf without a numpy warning
+    (lambda: Tensor(np.array([1e300])), NumericError, "tensor holds non-finite values"),
+    (lambda: FuseVitModel.build(ModelConfig()).forward(np.full((32, 32, 1), 1e300)),
+     NumericError, "tensor holds non-finite values"),
 ], ids=["add", "mul", "reshape", "concat-empty", "concat-mismatch", "gather-index-shape",
         "gather-range", "layer-norm-affine", "softmax-0d", "transpose-0d", "fd-step",
-        "fd-non-scalar"])
+        "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
