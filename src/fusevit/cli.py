@@ -42,7 +42,6 @@ class RunConfig:
     mlp_dim: int | None = None  # defaults to 4*dim
     k: int = 4
     selector: str = "maws"
-    head_layers: int = 1
     # training
     lr: float = 5e-4
     momentum: float = 0.9
@@ -58,12 +57,11 @@ class RunConfig:
     signal_patches: int = 6
     amplitude: float = 1.0
     noise_std: float = 0.0
-    # paths / switches
+    # paths
     dataset: str | None = None
     out: str | None = None
     checkpoint: str | None = None
     image: str | None = None
-    trace: bool = False
 
     @classmethod
     def from_sources(cls, file_path: str | None, overrides: dict) -> "RunConfig":
@@ -90,7 +88,7 @@ class RunConfig:
             patch_size=self.patch, embed_dim=self.dim, layers=self.layers, heads=self.heads,
             mlp_dim=4 * self.dim if self.mlp_dim is None else self.mlp_dim,
             k=self.k, selector=self.selector, num_classes=num_classes,
-            seed=self.seed, head_layers=self.head_layers)
+            seed=self.seed)
 
     def augment_config(self, size: int) -> AugmentConfig:
         """Crop to ``size``, the model's input side; resize defaults to it too."""
@@ -151,12 +149,15 @@ def _require(cfg: RunConfig, *names: str) -> None:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    """The required ``--out``, refused at once if it or a parent is not a directory."""
+    """The required ``--out``, refused at once if it or a parent is not a
+    directory, or if it is not empty: no run writes over another's files."""
     _require(cfg, "out")
     out = Path(cfg.out)
     blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
     if blocker is not None:
         raise ConfigError(f"--out {out}: {blocker} is not a directory")
+    if out.is_dir() and any(out.iterdir()):
+        raise ConfigError(f"--out {out} is not empty")
     return out
 
 
@@ -291,12 +292,10 @@ def cmd_inspect(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     lines = selection_trace_lines(result.selections, model.cfg.selector)
     (out / "selections.jsonl").write_text("\n".join(lines) + "\n")
-    for record in result.trace.attention:
-        ftz.write(out / f"attention.layer{record.layer_index}.ftz",
-                  record.scores.data)
+    for layer, record in enumerate(result.trace.attention, start=1):
+        ftz.write(out / f"attention.layer{layer}.ftz", record.scores.data)
     ftz.write(out / "logits.ftz", result.logits.data)
-    if cfg.trace:
-        ftz.write(out / "fused.ftz", result.fused.tokens.data)
+    ftz.write(out / "fused.ftz", result.fused.tokens.data)
     predicted = int(np.argmax(result.logits.data))
     print(f"predicted_class={predicted}")
     print("logits=" + json.dumps([float(x) for x in result.logits.data]))

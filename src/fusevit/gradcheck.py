@@ -8,7 +8,6 @@ since hundreds of chained ops accumulate truncation error).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +29,6 @@ class CheckResult:
     name: str
     max_rel_err: float
     tolerance: float
-    seconds: float
 
     @property
     def passed(self) -> bool:
@@ -147,9 +145,8 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     for name, op, shape in probes:
         x = _t(rng, *shape)
         w = _t(rng, *op(x).shape)
-        start = time.perf_counter()
         err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v), w)), x, h=1e-5)
-        results.append(CheckResult(name, err, OP_TOL, time.perf_counter() - start))
+        results.append(CheckResult(name, err, OP_TOL))
     return results
 
 
@@ -183,11 +180,9 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
 
     results = []
     for name, param in model.named_parameters():
-        start = time.perf_counter()
         worst = _central_difference(loss_value, param.data.ravel(), param.grad.ravel(),
                                     END_TO_END_H)
-        results.append(CheckResult(f"end_to_end.{name}", worst, END_TO_END_TOL,
-                                   time.perf_counter() - start))
+        results.append(CheckResult(f"end_to_end.{name}", worst, END_TO_END_TOL))
     return results
 
 
@@ -200,9 +195,7 @@ def format_report(results: list[CheckResult]) -> str:
     for r in results:
         status = "ok  " if r.passed else "FAIL"
         lines.append(f"[{status}] {r.name:<32} max_rel_err={r.max_rel_err:.3e} "
-                     f"tol={r.tolerance:.0e} ({r.seconds:.2f}s)")
+                     f"tol={r.tolerance:.0e}")
     failures = sum(not r.passed for r in results)
-    total = sum(r.seconds for r in results)
-    lines.append(f"{len(results) - failures}/{len(results)} checks passed "
-                 f"in {total:.1f}s")
+    lines.append(f"{len(results) - failures}/{len(results)} checks passed")
     return "\n".join(lines)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from fusevit import cli, ftz
 from fusevit.cli import RunConfig, build_parser, main, run_comparison
 from fusevit.data import load_dataset
-from fusevit.gradcheck import end_to_end_check, op_checks
+from fusevit.gradcheck import CheckResult, end_to_end_check, format_report, op_checks
 from fusevit.encoder import ModelConfig
 from fusevit.model import FuseVitModel, save_checkpoint
 from fusevit.selector import REGISTRY, maws
@@ -64,9 +64,10 @@ class TestRunConfig:
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"learning_rate": 0.1}))
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            RunConfig.from_sources(str(path), {})
+        for values in ({"learning_rate": 0.1}, {"trace": True}, {"head_layers": 1}):
+            path.write_text(json.dumps(values))
+            with pytest.raises(ConfigError, match="unknown config keys"):
+                RunConfig.from_sources(str(path), {})
 
     @pytest.mark.parametrize("values", [
         {"steps": "5"}, {"steps": 5.0}, {"layers": True}, {"steps": None},
@@ -115,7 +116,7 @@ def subcommand_parsers():
 class TestParser:
     def test_every_subcommand_has_one_flag_per_config_field(self):
         names = {f.name for f in fields(RunConfig)} | {"config"}
-        flags = {"--" + n.replace("_", "-") for n in names} | {"--no-flip", "--no-trace"}
+        flags = {"--" + n.replace("_", "-") for n in names} | {"--no-flip"}
         assert set(subcommand_parsers()) == {
             "gen", "train", "eval", "compare", "inspect", "gradcheck"}
         for name, sub in subcommand_parsers().items():
@@ -129,12 +130,11 @@ class TestParser:
 
     def test_flags_parse_to_field_types(self):
         args = build_parser().parse_args(
-            ["train", "--lr", "0.25", "--mlp-dim", "16", "--out", "x", "--no-flip",
-             "--trace"])
+            ["train", "--lr", "0.25", "--mlp-dim", "16", "--out", "x", "--no-flip"])
         assert (args.lr, args.mlp_dim, args.out) == (0.25, 16, "x")
-        assert args.flip is False and args.trace is True
-        args = build_parser().parse_args(["gen", "--flip", "--no-trace"])
-        assert args.flip is True and args.trace is False
+        assert args.flip is False
+        args = build_parser().parse_args(["gen", "--flip"])
+        assert args.flip is True
 
     def test_selector_choices_are_the_registry(self):
         assert list(REGISTRY) == ["none", "saws", "maws"]
@@ -323,7 +323,7 @@ class TestInspect:
         ckpt, image = self._train(tmp_path)
         out = tmp_path / "inspect"
         code = run_cli("inspect", "--checkpoint", str(ckpt), "--image",
-                       str(image), "--out", str(out), "--trace")
+                       str(image), "--out", str(out))
         assert code == 0
         assert "predicted_class=" in capsys.readouterr().out
         lines = (out / "selections.jsonl").read_text().strip().split("\n")
@@ -435,6 +435,14 @@ class TestGradcheckCommand:
             "matmul.shared.a", "matmul.shared.b", "add.suffix", "concat_rows.stack",
             "gather_rows.stack", "cross_entropy.batched"]
 
+    def test_report_format(self):
+        results = [CheckResult("matmul.a", 1.25e-9, 1e-5),
+                   CheckResult("end_to_end.head.0.w", 2.5e-3, 1e-3)]
+        assert format_report(results) == (
+            "[ok  ] matmul.a                         max_rel_err=1.250e-09 tol=1e-05\n"
+            "[FAIL] end_to_end.head.0.w              max_rel_err=2.500e-03 tol=1e-03\n"
+            "1/2 checks passed")
+
     def test_op_checks_pass_on_many_seeds(self):
         failed = [(seed, r.name, r.max_rel_err) for seed in range(50)
                   for r in op_checks(seed) if not r.passed]
@@ -488,12 +496,17 @@ class TestExitCodes:
 
 
 class TestOutPath:
-    """An ``--out`` that is a file, or lies under one, is refused before any work."""
+    """An ``--out`` that is a file, lies under one, or is a directory that is
+    not empty is refused before any work, and no file changes."""
 
-    @pytest.mark.parametrize("out", ["afile", "afile/sub"])
+    @pytest.mark.parametrize("out, reason", [
+        ("afile", ": {afile} is not a directory"),
+        ("afile/sub", ": {afile} is not a directory"),
+        ("full", " is not empty"),
+    ], ids=["afile", "afile/sub", "full"])
     @pytest.mark.parametrize("command", ["gen", "train", "compare", "inspect"])
-    def test_out_on_a_file_is_one_error_line(self, command, out, tmp_path, monkeypatch,
-                                             capsys):
+    def test_out_on_a_file_is_one_error_line(self, command, out, reason, tmp_path,
+                                             monkeypatch, capsys):
         def no_work(*args, **kwargs):
             raise AssertionError("work began before --out was checked")
 
@@ -501,13 +514,17 @@ class TestOutPath:
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.setattr(FuseVitModel, "build", no_work)
         (tmp_path / "afile").write_text("kept")
+        (tmp_path / "full").mkdir()
+        (tmp_path / "full" / "manifest.json").write_text("kept")
         code = run_cli(command, "--out", str(tmp_path / out), "--dataset", str(tmp_path / "ds"),
                        "--checkpoint", str(tmp_path / "ckpt"), "--image", str(tmp_path / "i.ftz"))
         err = capsys.readouterr().err
         assert code == 1
-        assert err == f"error: --out {tmp_path / out}: {tmp_path / 'afile'} is not a directory\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert err == f"error: --out {tmp_path / out}{reason.format(afile=tmp_path / 'afile')}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "full"]
+        assert [p.name for p in (tmp_path / "full").iterdir()] == ["manifest.json"]
         assert (tmp_path / "afile").read_text() == "kept"
+        assert (tmp_path / "full" / "manifest.json").read_text() == "kept"
 
 
 def edited(change):
@@ -802,8 +819,8 @@ class TestManifestFuzz:
 
 # a small valid ``train --config`` file: the tiny model for one step
 FUZZ_CONFIG = {"image_size": 16, "patch": 8, "dim": 8, "layers": 2, "heads": 2,
-               "mlp_dim": 16, "k": 2, "selector": "maws", "head_layers": 1,
-               "steps": 1, "batch": 2, "lr": 0.001, "momentum": 0.9, "seed": 0,
+               "mlp_dim": 16, "k": 2, "selector": "maws", "steps": 1,
+               "batch": 2, "lr": 0.001, "momentum": 0.9, "seed": 0,
                "flip": True, "resize_to": 16, "out": "run"}
 
 
