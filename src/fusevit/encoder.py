@@ -132,13 +132,14 @@ def embed(patches: Tensor, pe: dict[str, Tensor]) -> Tensor:
 
     ``patches`` is ``(N, P*P*C)`` or a stack ``(..., N, P*P*C)``; the class
     token reaches every slice of a stack through a matmul with ones, which
-    is exact.
+    is exact. ``E`` and ``E_pos`` may also be stacks with the patches'
+    leading axes, one table per slice.
     """
     *lead, n, _ = patches.data.shape
-    if pe["E_pos"].shape[0] != n + 1:
+    if pe["E_pos"].shape[-2] != n + 1:
         raise ShapeError(
-            f"position table has {pe['E_pos'].shape[0]} rows, need {n + 1}")
-    d = pe["E"].shape[1]
+            f"position table has {pe['E_pos'].shape[-2]} rows, need {n + 1}")
+    d = pe["E"].shape[-1]
     cls_row = reshape(pe["x_class"], (1, d))
     if lead:
         cls_row = matmul(Tensor._wrap(np.ones((*lead, 1, 1), pe["x_class"].dtype)), cls_row)

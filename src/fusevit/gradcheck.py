@@ -4,6 +4,10 @@ Two tiers: per-op checks against ``finite_diff_check`` (tolerance 1e-5) and
 an end-to-end check of a tiny fused-forward model where every parameter
 coordinate is perturbed with selection indices held fixed (tolerance 1e-3,
 since hundreds of chained ops accumulate truncation error).
+
+Both share one central-difference loop that hands an evaluator chunks of
++h/-h copies: ``finite_diff_check`` evaluates them one at a time, the
+end-to-end check a matrix parameter's copies as one stacked forward.
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from . import tensor as T
 from .encoder import ModelConfig
 from .errors import ConfigError, OracleError, ShapeError
 from .model import FuseVitModel
+from .selector import SelectionResult
 from .tensor import Tape, Tensor
 
 OP_TOL = 1e-5
 END_TO_END_TOL = 1e-3
 END_TO_END_H = 3e-5  # central-difference step of the end-to-end check
+FD_CHUNK = 64  # coordinates per batch of copies; whole-parameter stacks cost memory and time
 
 
 @dataclass
@@ -73,29 +79,38 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
         out = f(leaf)
         tape.backward(out)
     analytic = leaf.grad.ravel() if leaf.grad is not None else np.zeros(base.size)
-    return _central_difference(lambda: eval_value(base), base.ravel(), analytic, h)
+    # copies[i, ...] is an array even for a 0-d input, where copies[i] is a numpy scalar
+    return _central_difference(lambda copies: [eval_value(copies[i, ...])
+                                               for i in range(len(copies))],
+                               base, analytic, h)
 
 
-def _central_difference(value: Callable[[], float], flat: np.ndarray,
-                        analytic: np.ndarray, h: float) -> float:
-    """Worst relative error of ``analytic`` against central differences.
+def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]],
+                        base: np.ndarray, analytic: np.ndarray, h: float) -> float:
+    """Worst relative error of the flat gradient ``analytic`` against central
+    differences of ``values`` around ``base``.
 
-    ``flat`` is a flat view of the input that ``value`` reads; each coordinate
-    is moved by +h and -h in place, then restored.
+    For each chunk of at most ``FD_CHUNK`` coordinates, ``values`` gets a
+    ``(2m, *base.shape)`` stack of copies of ``base``, copy 2j moved by +h
+    and copy 2j+1 by -h at the chunk's coordinate j, and returns their 2m
+    values; ``base`` itself is never written. A NaN error makes the result NaN.
     """
+    flat = base.ravel()
     worst = 0.0
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + h
-        fp = value()
-        flat[i] = saved - h
-        fm = value()
-        flat[i] = saved
-        numeric = (fp - fm) / (2.0 * h)
-        a = float(analytic[i])
-        denom = max(abs(a), abs(numeric), 1e-8)
-        worst = max(worst, abs(a - numeric) / denom)
-    return worst
+    for start in range(0, flat.size, FD_CHUNK):
+        idx = np.arange(start, min(start + FD_CHUNK, flat.size))
+        j = idx - start
+        copies = np.repeat(base[None], 2 * idx.size, axis=0)
+        moved = copies.reshape(len(copies), -1)
+        moved[2 * j, idx] = flat[idx] + h
+        moved[2 * j + 1, idx] = flat[idx] - h
+        v = np.asarray(values(copies), dtype=np.float64)
+        numeric = (v[0::2] - v[1::2]) / (2.0 * h)
+        a = analytic[idx]
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+        # np.maximum keeps a NaN, where Python's max(0.0, nan) drops it
+        worst = np.maximum(worst, (np.abs(a - numeric) / denom).max())
+    return float(worst)
 
 
 def op_checks(seed: int = 0) -> list[CheckResult]:
@@ -168,9 +183,27 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
 
     frozen = model.forward(image).selections
 
-    def loss_value() -> float:
-        result = model.forward(image, frozen_selections=frozen)
-        return float(T.cross_entropy(result.logits, label).data)
+    def losses(param: Tensor, copies: np.ndarray):
+        """The loss with each of ``copies`` in place of ``param.data``."""
+        saved = param.data
+        try:
+            if param.ndim == 2:  # matmul takes a stack of matrices: one forward for all
+                n = len(copies)
+                param.data = copies
+                images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
+                stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
+                                           np.broadcast_to(s.weights, (n, *s.weights.shape)))
+                           for s in frozen]
+                logits = model.forward(images, frozen_selections=stacked).logits
+                return T.cross_entropy(logits, np.full(n, label)).data
+            out = []
+            for copy in copies:  # add, layer_norm and embed take one unstacked vector
+                param.data = copy
+                logits = model.forward(image, frozen_selections=frozen).logits
+                out.append(float(T.cross_entropy(logits, label).data))
+            return out
+        finally:
+            param.data = saved
 
     model.zero_grad()
     with Tape() as tape:
@@ -180,8 +213,8 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
 
     results = []
     for name, param in model.named_parameters():
-        worst = _central_difference(loss_value, param.data.ravel(), param.grad.ravel(),
-                                    END_TO_END_H)
+        worst = _central_difference(lambda copies: losses(param, copies), param.data,
+                                    param.grad.ravel(), END_TO_END_H)
         results.append(CheckResult(f"end_to_end.{name}", worst, END_TO_END_TOL))
     return results
 

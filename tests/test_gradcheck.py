@@ -1,0 +1,154 @@
+"""The central-difference loop and the stacked end-to-end gradcheck.
+
+No float is pinned here: the BLAS kernel decides the last bits, so the
+stacked forwards are compared against one-image forwards on whatever kernel
+runs the tests.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import erf
+
+from fusevit import encoder
+from fusevit import gradcheck
+from fusevit import tensor as T
+from fusevit.gradcheck import (
+    END_TO_END_H,
+    FD_CHUNK,
+    CheckResult,
+    _central_difference,
+    end_to_end_check,
+    finite_diff_check,
+    format_report,
+    toy_config,
+)
+from fusevit.model import FuseVitModel
+from fusevit.tensor import Tensor, _finish
+
+
+def t64(values):
+    return Tensor(np.asarray(values, dtype=np.float64), dtype=np.float64)
+
+
+def nan_gradient(where):
+    """``sum_all(2x)``, whose backward writes NaN at ``where`` of the gradient."""
+    def f(x):
+        def rule(g):
+            grad = 2.0 * g
+            grad[where] = np.nan
+            return (grad,)
+        return T.sum_all(_finish(Tensor._wrap(2.0 * x.data), (x,), rule))
+    return f
+
+
+class TestCentralDifference:
+    @pytest.mark.parametrize("where", [..., 1], ids=["every", "one"])
+    def test_nan_gradient_fails_the_check(self, where):
+        err = finite_diff_check(nan_gradient(where), t64([1.0, -2.0, 0.5]))
+        assert math.isnan(err)
+        result = CheckResult("nan", err, 1e-5)
+        assert not result.passed
+        assert "max_rel_err=nan" in format_report([result])
+
+    def test_chunks_of_copies_leave_base_unchanged(self):
+        base = np.arange(2 * FD_CHUNK + 2, dtype=np.float64).reshape(2, -1)
+        before = base.copy()
+        h = 0.25
+        seen = []
+
+        def values(copies):
+            seen.append(copies.shape)
+            start = sum(shape[0] for shape in seen[:-1]) // 2
+            moved = copies.reshape(len(copies), -1) - base.ravel()
+            for j in range(len(copies) // 2):
+                step = np.zeros(base.size)
+                step[start + j] = h
+                assert np.array_equal(moved[2 * j], step)
+                assert np.array_equal(moved[2 * j + 1], -step)
+            return copies.reshape(len(copies), -1).sum(axis=1)
+
+        err = _central_difference(values, base, np.ones(base.size), h)
+        assert err == 0.0
+        assert seen == [(2 * FD_CHUNK, *base.shape)] * 2 + [(4, *base.shape)]
+        assert np.array_equal(base, before)
+
+    def test_zero_d_input(self):
+        err = finite_diff_check(lambda x: T.mul(x, x), t64(3.0))
+        assert err < 1e-8
+
+
+def plus_minus_copies(base):
+    """Copy 2j of ``base`` moved by +h at coordinate j, copy 2j+1 by -h."""
+    copies = np.repeat(base[None], 2 * base.size, axis=0)
+    moved = copies.reshape(len(copies), -1)
+    coords = np.arange(base.size)
+    moved[2 * coords, coords] += END_TO_END_H
+    moved[2 * coords + 1, coords] -= END_TO_END_H
+    return copies
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
+    # the losses of end_to_end_check's evaluator for the first 1, FD_CHUNK and
+    # all coordinates of every matrix, taken while the check walks the parameters
+    stacked = []
+    real = gradcheck._central_difference
+
+    def spy(values, base, analytic, h):
+        copies = plus_minus_copies(base)
+        stacked.append({m: np.asarray(values(copies[:2 * m]))
+                        for m in {1, FD_CHUNK, base.size}} if base.ndim == 2 else None)
+        return real(values, base, analytic, h)
+
+    monkeypatch.setattr(gradcheck, "_central_difference", spy)
+    end_to_end_check(seed)
+
+    # the same model and image, run one copy at a time
+    model = FuseVitModel.build(toy_config(), dtype=np.float64)
+    image = Tensor(np.random.default_rng(seed).uniform(0.0, 1.0, size=(16, 16, 1)),
+                   dtype=np.float64)
+    frozen = model.forward(image).selections
+    matrices = 0
+    for chunks, (name, param) in zip(stacked, model.named_parameters(), strict=True):
+        if param.ndim != 2:
+            continue
+        matrices += param.data.size
+        base = param.data
+        one_at_a_time = []
+        for copy in plus_minus_copies(base):
+            param.data = copy
+            logits = model.forward(image, frozen_selections=frozen).logits
+            one_at_a_time.append(T.cross_entropy(logits, 1).data)
+        param.data = base
+        expected = np.array(one_at_a_time)
+        for m, losses in chunks.items():
+            assert losses.tobytes() == expected[:2 * m].tobytes(), (name, m)
+    assert matrices == 1600
+
+
+def test_end_to_end_passes_on_many_seeds():
+    failed = [(seed, r.name, r.max_rel_err) for seed in range(20)
+              for r in end_to_end_check(seed) if not r.passed]
+    assert failed == []
+
+
+def test_sign_flipped_gelu_backward_detected(monkeypatch):
+    def flipped_gelu(v):
+        x = v.data
+        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+
+        def rule(g):
+            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+            return (-g * (cdf + x * pdf),)
+
+        return _finish(Tensor._wrap(x * cdf), (v,), rule)
+
+    monkeypatch.setattr(encoder, "gelu", flipped_gelu)
+    failed = {r.name for r in end_to_end_check() if not r.passed}
+    # mlp.w1 runs as stacked forwards, mlp.b1 as one forward per copy
+    assert {"end_to_end.layer.1.mlp.w1", "end_to_end.layer.1.mlp.b1"} <= failed
+    assert not {"end_to_end.head.0.w", "end_to_end.head.0.b"} & failed
