@@ -133,14 +133,15 @@ def embed(patches: Tensor, pe: dict[str, Tensor]) -> Tensor:
     ``patches`` is ``(N, P*P*C)`` or a stack ``(..., N, P*P*C)``; the class
     token reaches every slice of a stack through a matmul with ones, which
     is exact. ``E`` and ``E_pos`` may also be stacks with the patches'
-    leading axes, one table per slice.
+    leading axes, one table per slice, and ``x_class`` a stack of
+    ``(..., 1, D)`` rows, one per slice.
     """
     *lead, n, _ = patches.data.shape
     if pe["E_pos"].shape[-2] != n + 1:
         raise ShapeError(
             f"position table has {pe['E_pos'].shape[-2]} rows, need {n + 1}")
     d = pe["E"].shape[-1]
-    cls_row = reshape(pe["x_class"], (1, d))
+    cls_row = reshape(pe["x_class"], (*pe["x_class"].shape[:-2], 1, d))
     if lead:
         cls_row = matmul(Tensor._wrap(np.ones((*lead, 1, 1), pe["x_class"].dtype)), cls_row)
     tokens = concat_rows([cls_row, matmul(patches, pe["E"])])

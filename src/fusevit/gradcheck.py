@@ -7,7 +7,8 @@ since hundreds of chained ops accumulate truncation error).
 
 Both share one central-difference loop that hands an evaluator chunks of
 +h/-h copies: ``finite_diff_check`` evaluates them one at a time, the
-end-to-end check a matrix parameter's copies as one stacked forward.
+end-to-end check every parameter's copies, vectors included, as one stacked
+forward.
 """
 
 from __future__ import annotations
@@ -155,6 +156,9 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("concat_rows.stack", lambda x: T.concat_rows([x, a2x6x4]), (2, 6, 4)),
         ("gather_rows.stack", lambda x: T.gather_rows(x, [[0, 2, 2], [5, 1, 0]]), (2, 6, 4)),
         ("cross_entropy.batched", lambda x: T.cross_entropy(x, np.array([3, 0])), (2, 7)),
+        ("add.rows", lambda x: T.add(a2x6x4, x), (2, 1, 4)),
+        ("layer_norm.gamma.rows", lambda x: T.layer_norm(a2x6x4, x, beta), (2, 1, 4)),
+        ("layer_norm.beta.rows", lambda x: T.layer_norm(a2x6x4, gamma, x), (2, 1, 4)),
     ]
     results = []
     for name, op, shape in probes:
@@ -183,25 +187,20 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
 
     frozen = model.forward(image).selections
 
-    def losses(param: Tensor, copies: np.ndarray):
-        """The loss with each of ``copies`` in place of ``param.data``."""
+    def losses(param: Tensor, copies: np.ndarray) -> np.ndarray:
+        """The loss with each of ``copies`` in place of ``param.data``, as one
+        stacked forward. A matrix's copies are a stack of matrices; a vector's
+        are ``(n, 1, d)`` rows, which broadcast over each slice's tokens."""
+        n = len(copies)
         saved = param.data
+        param.data = copies.reshape(n, -1, param.shape[-1])
         try:
-            if param.ndim == 2:  # matmul takes a stack of matrices: one forward for all
-                n = len(copies)
-                param.data = copies
-                images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
-                stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
-                                           np.broadcast_to(s.weights, (n, *s.weights.shape)))
-                           for s in frozen]
-                logits = model.forward(images, frozen_selections=stacked).logits
-                return T.cross_entropy(logits, np.full(n, label)).data
-            out = []
-            for copy in copies:  # add, layer_norm and embed take one unstacked vector
-                param.data = copy
-                logits = model.forward(image, frozen_selections=frozen).logits
-                out.append(float(T.cross_entropy(logits, label).data))
-            return out
+            images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
+            stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
+                                       np.broadcast_to(s.weights, (n, *s.weights.shape)))
+                       for s in frozen]
+            logits = model.forward(images, frozen_selections=stacked).logits
+            return T.cross_entropy(logits, np.full(n, label)).data
         finally:
             param.data = saved
 

@@ -175,19 +175,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _finish(out, (a, b), rule)
 
 
+def _fits(shape: tuple[int, ...], onto: tuple[int, ...]) -> bool:
+    """Whether ``shape`` broadcasts onto ``onto`` by numpy's rule without growing it."""
+    return len(shape) <= len(onto) and all(n in (1, m) for n, m in zip(shape[::-1], onto[::-1]))
+
+
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` over the axes along which an array of ``shape`` was broadcast."""
+    lead = g.ndim - len(shape)
+    axes = (*range(lead), *(lead + i for i, n in enumerate(shape) if n == 1))
+    # a full sum is a numpy scalar: keep an array, and a fresh one, not a view
+    out = np.asarray(g.sum(axis=axes))
+    return out if out.shape == shape else out.reshape(shape)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also have a suffix of ``a``'s shape (a bias
-    vector, or a position table over a stack) and is broadcast over the rest."""
+    """Elementwise sum; ``b`` may broadcast onto ``a`` by numpy's rule if ``a``'s
+    shape does not grow: a bias, a position table or a stack of ``(..., 1, D)`` rows."""
     ad, bd = a.data, b.data
-    lead = ad.ndim - bd.ndim
-    if lead < 0 or ad.shape[lead:] != bd.shape:
+    # the suffix form is what the model passes, so it is tested first
+    if ad.shape[ad.ndim - bd.ndim:] != bd.shape and not _fits(bd.shape, ad.shape):
         raise ShapeError(f"add shape mismatch: {ad.shape} + {bd.shape}")
     out = Tensor._wrap(ad + bd)
-    axes = tuple(range(lead))
 
     def rule(g):
-        # a sum over every axis gives a numpy scalar; the gradient stays an array
-        return g, np.asarray(g.sum(axis=axes))
+        return g, _sum_to(g, bd.shape)
 
     return _finish(out, (a, b), rule)
 
@@ -303,14 +315,17 @@ def softmax(v: Tensor) -> Tensor:
 
 
 def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize each vector along the last axis, then apply gamma/beta."""
-    d = v.data.shape[-1] if v.data.ndim else 0
+    """Normalize each vector along the last axis, then apply gamma/beta: ``(D,)``
+    or any shape that broadcasts onto the input as ``add``'s ``b`` does."""
+    x = v.data
+    d = x.shape[-1] if x.ndim else 0
     if d == 0:
         raise ShapeError("layer_norm over an empty last axis")
-    if gamma.shape != (d,) or beta.shape != (d,):
+    # the (D,) form is what the model passes, so it is tested first
+    if (gamma.shape != (d,) and not _fits(gamma.shape, x.shape)
+            or beta.shape != (d,) and not _fits(beta.shape, x.shape)):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match D={d}")
-    x = v.data
     # np.add.reduce / d is what ndarray.mean computes, without its dispatch cost
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
@@ -320,9 +335,8 @@ def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     out = Tensor._wrap(xhat * gamma.data + beta.data)
 
     def rule(g):
-        lead = tuple(range(g.ndim - 1))
-        dgamma = (g * xhat).sum(axis=lead)
-        dbeta = g.sum(axis=lead)
+        dgamma = _sum_to(g * xhat, gamma.shape)
+        dbeta = _sum_to(g, beta.shape)
         dxhat = g * gamma.data
         dx = inv * (dxhat
                     - np.add.reduce(dxhat, axis=-1, keepdims=True) / d

@@ -433,7 +433,8 @@ class TestGradcheckCommand:
             "softmax.vec", "softmax.rows", "layer_norm.x", "layer_norm.gamma",
             "layer_norm.beta", "gelu", "sum_all", "cross_entropy", "softmax_cross_entropy",
             "matmul.shared.a", "matmul.shared.b", "add.suffix", "concat_rows.stack",
-            "gather_rows.stack", "cross_entropy.batched"]
+            "gather_rows.stack", "cross_entropy.batched", "add.rows", "layer_norm.gamma.rows",
+            "layer_norm.beta.rows"]
 
     def test_report_format(self):
         results = [CheckResult("matmul.a", 1.25e-9, 1e-5),

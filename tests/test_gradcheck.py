@@ -94,14 +94,15 @@ def plus_minus_copies(base):
 @pytest.mark.parametrize("seed", [0, 7])
 def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
     # the losses of end_to_end_check's evaluator for the first 1, FD_CHUNK and
-    # all coordinates of every matrix, taken while the check walks the parameters
+    # all coordinates of every parameter, vectors included, taken while the
+    # check walks the parameters
     stacked = []
     real = gradcheck._central_difference
 
     def spy(values, base, analytic, h):
         copies = plus_minus_copies(base)
         stacked.append({m: np.asarray(values(copies[:2 * m]))
-                        for m in {1, FD_CHUNK, base.size}} if base.ndim == 2 else None)
+                        for m in {1, FD_CHUNK, base.size}})
         return real(values, base, analytic, h)
 
     monkeypatch.setattr(gradcheck, "_central_difference", spy)
@@ -112,11 +113,9 @@ def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
     image = Tensor(np.random.default_rng(seed).uniform(0.0, 1.0, size=(16, 16, 1)),
                    dtype=np.float64)
     frozen = model.forward(image).selections
-    matrices = 0
+    coordinates = 0
     for chunks, (name, param) in zip(stacked, model.named_parameters(), strict=True):
-        if param.ndim != 2:
-            continue
-        matrices += param.data.size
+        coordinates += param.data.size
         base = param.data
         one_at_a_time = []
         for copy in plus_minus_copies(base):
@@ -127,7 +126,7 @@ def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
         expected = np.array(one_at_a_time)
         for m, losses in chunks.items():
             assert losses.tobytes() == expected[:2 * m].tobytes(), (name, m)
-    assert matrices == 1600
+    assert coordinates == 1739
 
 
 def test_end_to_end_passes_on_many_seeds():
@@ -149,6 +148,6 @@ def test_sign_flipped_gelu_backward_detected(monkeypatch):
 
     monkeypatch.setattr(encoder, "gelu", flipped_gelu)
     failed = {r.name for r in end_to_end_check() if not r.passed}
-    # mlp.w1 runs as stacked forwards, mlp.b1 as one forward per copy
+    # a matrix (mlp.w1) and a vector (mlp.b1) behind the flipped gelu both fail
     assert {"end_to_end.layer.1.mlp.w1", "end_to_end.layer.1.mlp.b1"} <= failed
     assert not {"end_to_end.head.0.w", "end_to_end.head.0.b"} & failed

@@ -458,7 +458,7 @@ def _probe_ops(rng):
     picks = rng.integers(0, rows, (batch, inner))
     w_g = rt(batch, inner, cols)
     labels = rng.integers(0, cols, (batch, rows))
-    return probes + [
+    probes += [
         ("matmul.shared.a", lambda t: sum_all(mul(matmul(t, b), w3)),
          rt(batch, rows, inner)),
         ("matmul.shared.b", lambda t: sum_all(mul(matmul(a3, t), w3)), rt(inner, cols)),
@@ -469,6 +469,16 @@ def _probe_ops(rng):
          rt(batch, rows, cols)),
         ("cross_entropy.batched", lambda t: sum_all(cross_entropy(t, labels)),
          rt(batch, rows, cols)),
+    ]
+    # the broadcast-row forms, one (1, D) row per slice, draw after all of those
+    x_ln3 = rt(batch, rows, ln_cols)
+    w_ln3 = rt(batch, rows, ln_cols)
+    return probes + [
+        ("add.rows", lambda t: sum_all(mul(add(x3, t), w3)), rt(batch, 1, cols)),
+        ("layer_norm.gamma.rows", lambda t: sum_all(mul(layer_norm(x_ln3, t, bvec), w_ln3)),
+         rt(batch, 1, ln_cols)),
+        ("layer_norm.beta.rows", lambda t: sum_all(mul(layer_norm(x_ln3, g, t), w_ln3)),
+         rt(batch, 1, ln_cols)),
     ]
 
 
@@ -518,8 +528,12 @@ def _vector_valued(x):
      "gather_rows of indices shaped (2,) from shape (2, 3, 4)"),
     (lambda: gather_rows(t64(np.zeros((3, 4))), [0, 3]), ShapeError,
      "row indices [0, 3] out of range for (3, 4)"),
+    (lambda: add(t64(np.zeros((2, 1, 4))), t64(np.zeros((2, 3, 4)))), ShapeError,
+     "add shape mismatch: (2, 1, 4) + (2, 3, 4)"),
     (lambda: layer_norm(t64(np.zeros((2, 4))), t64(np.ones(4)), t64(np.zeros(3))), ShapeError,
      "layer_norm affine shapes (4,)/(3,) do not match D=4"),
+    (lambda: layer_norm(t64(np.zeros((6, 4))), t64(np.ones((2, 1, 4))), t64(np.zeros(4))),
+     ShapeError, "layer_norm affine shapes (2, 1, 4)/(4,) do not match D=4"),
     (lambda: softmax(t64(1.0)), ShapeError, "softmax of an empty tensor"),
     (lambda: transpose(t64(1.0), (0,)), ShapeError,
      "transpose axes (0,) are not a permutation for ()"),
@@ -531,8 +545,9 @@ def _vector_valued(x):
     (lambda: Tensor(np.array([1e300])), NumericError, "tensor holds non-finite values"),
     (lambda: FuseVitModel.build(ModelConfig()).forward(np.full((32, 32, 1), 1e300)),
      NumericError, "tensor holds non-finite values"),
-], ids=["add", "mul", "reshape", "concat-empty", "concat-mismatch", "gather-index-shape",
-        "gather-range", "layer-norm-affine", "softmax-0d", "transpose-0d", "fd-step",
+], ids=["add", "add-grows-a", "mul", "reshape", "concat-empty", "concat-mismatch",
+        "gather-index-shape", "gather-range", "layer-norm-affine", "layer-norm-affine-grows",
+        "softmax-0d", "transpose-0d", "fd-step",
         "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
