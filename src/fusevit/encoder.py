@@ -44,13 +44,15 @@ class ModelConfig:
     selector: str = "maws"
     num_classes: int = 5
     seed: int = 0
-    head_layers: int = 1
+    head_layers: int = 1  # the head is one LayerNorm and one linear map; manifests name it
 
     def __post_init__(self):
         for name in ("image_h", "image_w", "channels", "patch_size", "embed_dim",
-                     "heads", "mlp_dim", "k", "num_classes", "head_layers"):
+                     "heads", "mlp_dim", "k", "num_classes"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.head_layers != 1:
+            raise ConfigError(f"head_layers must be 1, got {self.head_layers}")
         if self.layers < 2:
             raise ConfigError(f"need at least 2 layers, got {self.layers}")
         if self.seed < 0:

@@ -35,7 +35,6 @@ from .tensor import (
     add,
     concat_rows,
     gather_rows,
-    gelu,
     layer_norm,
     matmul,
     reshape,
@@ -115,12 +114,9 @@ def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, str, tuple[int, ...], 
             ("ln2.gamma", (d,), "ones"), ("ln2.beta", (d,), "zeros"),
             ("mlp.w1", (d, m), "normal"), ("mlp.b1", (m,), "zeros"),
             ("mlp.w2", (m, d), "normal"), ("mlp.b2", (d,), "zeros"))]
-    table += [("head", "ln.gamma", (d,), "ones"), ("head", "ln.beta", (d,), "zeros")]
-    widths = [d] * (cfg.head_layers - 1) + [cfg.num_classes]
-    for i, (rows, width) in enumerate(zip([d] + widths, widths)):
-        table += [("head", f"{i}.w", (rows, width), "normal"),
-                  ("head", f"{i}.b", (width,), "zeros")]
-    return table
+    return table + [("head", "ln.gamma", (d,), "ones"), ("head", "ln.beta", (d,), "zeros"),
+                    ("head", "0.w", (d, cfg.num_classes), "normal"),
+                    ("head", "0.b", (cfg.num_classes,), "zeros")]
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -201,10 +197,7 @@ class FuseVitModel:
         lead = final_tokens.data.shape[:-2]
         cls_row = gather_rows(final_tokens, np.zeros((*lead, 1), dtype=np.intp))
         x = layer_norm(cls_row, self.head["ln.gamma"], self.head["ln.beta"])
-        for i in range(self.cfg.head_layers):
-            if i:
-                x = gelu(x)
-            x = add(matmul(x, self.head[f"{i}.w"]), self.head[f"{i}.b"])
+        x = add(matmul(x, self.head["0.w"]), self.head["0.b"])
         return reshape(x, (*lead, self.cfg.num_classes))
 
     def _encode(self, image) -> EncoderTrace:

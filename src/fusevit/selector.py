@@ -39,18 +39,14 @@ class SelectionResult:
     weights: np.ndarray
 
 
-def _as_scores(a) -> np.ndarray:
-    arr = np.asarray(getattr(a, "data", a), dtype=np.float64)
-    if arr.ndim < 2 or arr.shape[-2] != arr.shape[-1]:
-        raise ShapeError(f"attention scores must be square, got shape {arr.shape}")
-    return arr
-
-
-def _check_k(k: int, n: int) -> int:
-    k = int(k)
+def _checked(scores, k: int) -> tuple[np.ndarray, int]:
+    a = np.asarray(getattr(scores, "data", scores), dtype=np.float64)
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise ShapeError(f"attention scores must be square, got shape {a.shape}")
+    k, n = int(k), a.shape[-1] - 1
     if not 1 <= k <= n:
         raise ConfigError(f"k={k} outside [1, {n}] candidate tokens")
-    return k
+    return a, k
 
 
 def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int) -> SelectionResult:
@@ -61,8 +57,7 @@ def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int) -> SelectionResult:
 
 def saws(scores, k: int) -> SelectionResult:
     """Top-k tokens by the class-token row of the score matrix."""
-    a = _as_scores(scores)
-    k = _check_k(k, a.shape[-1] - 1)
+    a, k = _checked(scores, k)
     row = a[..., 0, :]
     return _top_k(row, softmax(Tensor._wrap(row)).data, k)
 
@@ -74,16 +69,14 @@ def maws(scores, k: int) -> SelectionResult:
     high only when the class token attends to i *and* i attends back to the
     class token.
     """
-    a = _as_scores(scores)
-    k = _check_k(k, a.shape[-1] - 1)
+    a, k = _checked(scores, k)
     mutual = softmax(Tensor._wrap(a[..., 0, :])).data * softmax(Tensor._wrap(a[..., :, 0])).data
     return _top_k(mutual, mutual, k)
 
 
 def first_k(scores, k: int) -> SelectionResult:
     """Ablation control: every token ties, so tokens 1..k, with unit weights."""
-    a = _as_scores(scores)
-    k = _check_k(k, a.shape[-1] - 1)
+    a, k = _checked(scores, k)
     return _top_k(np.zeros(a.shape[:-1]), np.ones(a.shape[:-1]), k)
 
 

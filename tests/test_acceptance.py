@@ -12,24 +12,15 @@ import timeit
 
 import numpy as np
 
+from _reference import DIVERGENCE, GAMMA, random_trace, softmax
 from fusevit.cli import RunConfig, run_comparison
 from fusevit.data import AugmentConfig, SynthSpec, generate_synth
-from fusevit.encoder import AttentionRecord, EncoderTrace, ModelConfig, patchify
+from fusevit.encoder import ModelConfig, patchify
 from fusevit.gradcheck import END_TO_END_TOL, OP_TOL, run_suite
 from fusevit.model import FuseVitModel, fuse
 from fusevit.selector import maws, saws, select_per_layer
 from fusevit.tensor import Tensor
 from fusevit.train import TrainConfig, evaluate, train
-
-GAMMA = np.array([[1.0, 2.0, 3.0, 4.0],
-                  [1.0, 2.0, 3.0, 4.0],
-                  [1.0, 2.0, 3.0, 4.0],
-                  [1.0, 4.0, 1.0, 1.0]])
-
-DIVERGENCE = np.array([[1.0, 2.0, 3.0, 4.0],
-                       [9.0, 0.0, 0.0, 0.0],
-                       [1.0, 0.0, 0.0, 0.0],
-                       [1.0, 0.0, 0.0, 0.0]])
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -38,16 +29,11 @@ def report(name: str, ok: bool, detail: str = "") -> None:
     print(f"[{status}] {name}{suffix}")
 
 
-def independent_softmax(v):
-    e = np.exp(np.asarray(v, dtype=np.float64) - np.max(v))
-    return e / e.sum()
-
-
 def test_criterion_gamma_matrix_regression():
     sel_saws = saws(GAMMA, 1)
     sel_maws = maws(GAMMA, 3)
-    row = independent_softmax(GAMMA[0])
-    col = independent_softmax(GAMMA[:, 0])
+    row = softmax(GAMMA[0])
+    col = softmax(GAMMA[:, 0])
     weight_err = max(abs(w - row[i] * col[i])
                      for i, w in zip(sel_maws.indices, sel_maws.weights))
     ok = sel_saws.indices == [3] and weight_err < 1e-7
@@ -61,7 +47,7 @@ def test_criterion_maws_saws_divergence():
     got_saws = saws(DIVERGENCE, 1).indices
     got_maws = maws(DIVERGENCE, 1).indices
     # brute-force oracle for the mutual ranking
-    mutual = independent_softmax(DIVERGENCE[0]) * independent_softmax(DIVERGENCE[:, 0])
+    mutual = softmax(DIVERGENCE[0]) * softmax(DIVERGENCE[:, 0])
     oracle = [1 + int(np.argmax(mutual[1:]))]
     per_call = timeit.timeit(
         lambda: (saws(DIVERGENCE, 1), maws(DIVERGENCE, 1)), number=200) / 200
@@ -73,16 +59,6 @@ def test_criterion_maws_saws_divergence():
     assert per_call < 1e-3
 
 
-def _random_trace(rng, layers, n, d=4):
-    hidden = [Tensor(rng.standard_normal((n + 1, d)), dtype=np.float64)
-              for _ in range(layers)]
-    records = [AttentionRecord(layer_index=i + 1,
-                               scores=Tensor(rng.standard_normal((n + 1, n + 1)),
-                                             dtype=np.float64))
-               for i in range(layers)]
-    return EncoderTrace(hidden=hidden, attention=records)
-
-
 def test_criterion_fused_length_law():
     rng = np.random.default_rng(0)
     ok = True
@@ -90,7 +66,7 @@ def test_criterion_fused_length_law():
         layers_total = int(rng.integers(2, 7))
         n = int(rng.integers(2, 14))
         k = int(rng.integers(1, n + 1))
-        trace = _random_trace(rng, layers_total - 1, n)
+        trace = random_trace(rng, layers_total - 1, n)
         fused = fuse(trace, select_per_layer(trace, k, "maws"))
         ok = ok and fused.tokens.shape[0] == 1 + (layers_total - 1) * k
 

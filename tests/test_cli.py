@@ -366,13 +366,9 @@ class TestInspect:
         assert capsys.readouterr().err == message + "\n"
         assert not out.exists()
 
-    # sha256 of selections.jsonl for a fixed untrained 3-layer f32 model and image
-    @pytest.mark.parametrize("selector, digest", [
-        ("maws", "94f67e513fcdb47479b9d8d84048a41b9764ae0361bd1dfaa0dd35dfebee4e8d"),
-        ("saws", "ca832878788d5540660acfee337030a673d2158be6c037bb75d4243e488afce1"),
-        ("none", "5579ce0b06edf472a797ce0e0fa1c49e87260b5d0ed0388c4bce79a4eccf0606"),
-    ])
-    def test_selections_file_is_pinned(self, tmp_path, selector, digest):
+    @staticmethod
+    def _untrained_selections(tmp_path, selector):
+        """``selections.jsonl`` for a fixed untrained 3-layer f32 model and image."""
         cfg = ModelConfig(image_h=16, image_w=16, patch_size=4, embed_dim=8, layers=3,
                           heads=2, mlp_dim=16, k=3, selector=selector, num_classes=3,
                           seed=11)
@@ -382,7 +378,38 @@ class TestInspect:
         out = tmp_path / "inspect"
         assert run_cli("inspect", "--checkpoint", str(tmp_path / "ckpt"), "--image",
                        str(image), "--out", str(out)) == 0
-        assert hashlib.sha256((out / "selections.jsonl").read_bytes()).hexdigest() == digest
+        return (out / "selections.jsonl").read_bytes()
+
+    # the `none` weights are ones, so its file is the same bytes on any BLAS kernel
+    @pytest.mark.parametrize("selector, digest", [
+        ("none", "5579ce0b06edf472a797ce0e0fa1c49e87260b5d0ed0388c4bce79a4eccf0606"),
+    ])
+    def test_selections_file_is_pinned(self, tmp_path, selector, digest):
+        lines = self._untrained_selections(tmp_path, selector)
+        assert hashlib.sha256(lines).hexdigest() == digest
+
+    # the indices are the same on every BLAS kernel; the weights come from f32
+    # matmuls whose last bits are the kernel's (these are SkylakeX's; Haswell's
+    # and SandyBridge's differ by at most 4e-10 relative)
+    @pytest.mark.parametrize("selector, records", [
+        ("maws", [([5, 7, 16], [0.0034693816869894104, 0.0034688796719913144,
+                                0.0034652277157389997]),
+                  ([4, 8, 9], [0.003469626106135578, 0.003469244276335895,
+                               0.0034673721153905476])]),
+        ("saws", [([7, 16, 5], [0.058926554047072505, 0.05890883506381168,
+                                0.05890765658817988]),
+                  ([8, 9, 4], [0.05898489695257102, 0.05892264234675896,
+                               0.05891646939597736])]),
+    ], ids=["maws", "saws"])
+    def test_selections_are_pinned_on_any_kernel(self, tmp_path, selector, records):
+        lines = self._untrained_selections(tmp_path, selector).decode().splitlines()
+        assert len(lines) == len(records)
+        for layer, (line, (indices, weights)) in enumerate(zip(lines, records), start=1):
+            got = json.loads(line)
+            assert list(got) == ["layer", "kind", "indices", "weights"]
+            assert (got["layer"], got["kind"], got["indices"]) == (layer, selector.upper(),
+                                                                   indices)
+            np.testing.assert_allclose(got["weights"], weights, rtol=1e-7, atol=0)
 
     def test_image_shape_mismatch_is_config_error(self, tmp_path):
         ckpt, _ = self._train(tmp_path)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import encoder_block, layer_norm, t64
 from fusevit.encoder import (
     ModelConfig,
     forward_collect,
@@ -13,17 +14,7 @@ from fusevit.encoder import (
 )
 from fusevit.errors import ConfigError, NumericError, ShapeError
 from fusevit.model import FuseVitModel
-from fusevit.tensor import LN_EPS, Tensor, softmax
-
-
-def t64(data):
-    return Tensor(data, dtype=np.float64)
-
-
-def ln_oracle(x, gamma, beta, eps=LN_EPS):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mu) / np.sqrt(var + eps) * gamma + beta
+from fusevit.tensor import softmax
 
 
 def make_layer(rng, d, mlp_dim):
@@ -46,6 +37,7 @@ def overflowing_layer():
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ModelConfig(seed=-1), ConfigError, "seed must be non-negative, got -1"),
+    (lambda: ModelConfig(head_layers=2), ConfigError, "head_layers must be 1, got 2"),
     (lambda: ModelConfig(image_h=16, image_w=4, patch_size=8, k=1), ConfigError,
      "patch size 8 too large for 16x4 images"),
     (lambda: patchify(t64(np.zeros((4, 4))), 2), ShapeError,
@@ -58,8 +50,8 @@ def overflowing_layer():
      "non-finite values in attention output of attention block"),
     (lambda: FuseVitModel.build(ModelConfig(), np.float16), ConfigError,
      "model dtype must be float32 or float64, got float16"),
-], ids=["negative-seed", "patch-too-large", "patchify-rank", "msa-width", "msa-layer",
-        "msa-block", "model-dtype"])
+], ids=["negative-seed", "head-layers", "patch-too-large", "patchify-rank", "msa-width",
+        "msa-layer", "msa-block", "model-dtype"])
 def test_bad_input_raises_typed_error(call, error, message):
     with np.errstate(over="ignore"), pytest.raises(error) as info:
         call()
@@ -172,7 +164,7 @@ class TestMsa:
         z = t64(rng.standard_normal((1, 8)))
         out, scores = msa(z, layer, heads=1)
         assert softmax(scores).data[0, 0] == 1.0
-        zn = ln_oracle(z.data, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        zn = layer_norm(z.data, layer["ln1.gamma"].data, layer["ln1.beta"].data)
         expected = z.data + (zn @ layer["wv"].data) @ layer["wo"].data
         assert np.allclose(out.data, expected, atol=1e-10)
 
@@ -191,7 +183,7 @@ class TestMsa:
         layer = make_layer(rng, d, 8)
         z = rng.standard_normal((3, d))
         _, scores = msa(t64(z), layer, heads=1)
-        zn = ln_oracle(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        zn = layer_norm(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
         expected = (zn @ layer["wq"].data) @ (zn @ layer["wk"].data).T / np.sqrt(d)
         assert np.allclose(scores.data, expected, atol=1e-6)
 
@@ -200,7 +192,7 @@ class TestMsa:
         layer = make_layer(rng, 8, 16)
         z = rng.standard_normal((5, 8))
         _, scores = msa(t64(z), layer, heads=4)
-        zn = ln_oracle(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
+        zn = layer_norm(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
         q, k = zn @ layer["wq"].data, zn @ layer["wk"].data
         dh = 2  # width 8 over 4 heads
         per_head = [q[:, i:i + dh] @ k[:, i:i + dh].T / np.sqrt(dh) for i in range(0, 8, dh)]
@@ -233,24 +225,7 @@ class TestEncoderLayer:
         layer = make_layer(rng, d, mlp_dim)
         z = rng.standard_normal((4, d))
         out, _ = encoder_layer(t64(z), layer, heads=heads)
-
-        # independent numpy walk through the same block, one head at a time
-        from scipy.special import erf
-        zn = ln_oracle(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
-        q, k, v = zn @ layer["wq"].data, zn @ layer["wk"].data, zn @ layer["wv"].data
-        dh = d // heads
-        head_outs = []
-        for lo in range(0, d, dh):
-            qh, kh, vh = q[:, lo:lo + dh], k[:, lo:lo + dh], v[:, lo:lo + dh]
-            s = qh @ kh.T / np.sqrt(dh)
-            e = np.exp(s - s.max(axis=-1, keepdims=True))
-            attn = e / e.sum(axis=-1, keepdims=True)
-            head_outs.append(attn @ vh)
-        u = z + np.hstack(head_outs) @ layer["wo"].data
-        un = ln_oracle(u, layer["ln2.gamma"].data, layer["ln2.beta"].data)
-        h = un @ layer["mlp.w1"].data + layer["mlp.b1"].data
-        h = h * 0.5 * (1.0 + erf(h / np.sqrt(2.0)))
-        expected = u + h @ layer["mlp.w2"].data + layer["mlp.b2"].data
+        expected = encoder_block(z, layer, heads)
         assert np.allclose(out.data, expected, atol=1e-5)
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from _reference import t64
 from fusevit import encoder
 from fusevit import gradcheck
 from fusevit import tensor as T
@@ -28,10 +29,6 @@ from fusevit.gradcheck import (
 )
 from fusevit.model import FuseVitModel
 from fusevit.tensor import Tensor, _finish
-
-
-def t64(values):
-    return Tensor(np.asarray(values, dtype=np.float64), dtype=np.float64)
 
 
 def nan_gradient(where):

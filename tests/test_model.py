@@ -1,16 +1,15 @@
 """Fusion assembly, full forward passes, and checkpoint round-trips."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import erf
 
-from fusevit.encoder import AttentionRecord, EncoderTrace, ModelConfig
+from _reference import plain_vit, random_trace
+from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, TraceMismatchError
-from fusevit.gradcheck import END_TO_END_H, END_TO_END_TOL, _central_difference, toy_config
+from fusevit.gradcheck import toy_config
 from fusevit.model import (
     FuseVitModel,
     fuse,
@@ -18,18 +17,7 @@ from fusevit.model import (
     save_checkpoint,
 )
 from fusevit.selector import REGISTRY, SelectionResult, maws, select_per_layer
-from fusevit.tensor import (
-    LN_EPS,
-    Tape,
-    Tensor,
-    cross_entropy,
-    scale,
-    sum_all,
-)
-
-
-def t64(data):
-    return Tensor(data, dtype=np.float64)
+from fusevit.tensor import Tape, Tensor, cross_entropy, scale, sum_all
 
 
 def toy_cfg(selector="maws", **kw):
@@ -38,14 +26,6 @@ def toy_cfg(selector="maws", **kw):
                 num_classes=5, seed=2)
     base.update(kw)
     return ModelConfig(**base)
-
-
-def random_trace(rng, layers, n, d):
-    hidden = [t64(rng.standard_normal((n + 1, d))) for _ in range(layers)]
-    records = [AttentionRecord(layer_index=i + 1,
-                               scores=t64(rng.standard_normal((n + 1, n + 1))))
-               for i in range(layers)]
-    return EncoderTrace(hidden=hidden, attention=records)
 
 
 class TestFuse:
@@ -129,51 +109,6 @@ class TestFuse:
             fuse(trace, [SelectionResult(np.array([0]), np.array([1.0]))])
 
 
-def plain_vit_oracle(model, image):
-    """Independent numpy re-implementation of the plain forward pass."""
-    cfg = model.cfg
-    p = cfg.patch_size
-    arr = np.asarray(image, dtype=np.float64)
-    gh, gw = cfg.image_h // p, cfg.image_w // p
-    patches = (arr[: gh * p, : gw * p, :]
-               .reshape(gh, p, gw, p, cfg.channels)
-               .transpose(0, 2, 1, 3, 4)
-               .reshape(gh * gw, p * p * cfg.channels))
-
-    def ln(x, gamma, beta):
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        return (x - mu) / np.sqrt(var + LN_EPS) * gamma + beta
-
-    def row_softmax(x):
-        e = np.exp(x - x.max(axis=-1, keepdims=True))
-        return e / e.sum(axis=-1, keepdims=True)
-
-    pe = model.embedder
-    z = np.vstack([pe["x_class"].data[None, :], patches @ pe["E"].data]) + pe["E_pos"].data
-    dh = cfg.embed_dim // cfg.heads
-    for layer in model.layers:
-        zn = ln(z, layer["ln1.gamma"].data, layer["ln1.beta"].data)
-        q, k, v = zn @ layer["wq"].data, zn @ layer["wk"].data, zn @ layer["wv"].data
-        heads = []
-        for h in range(cfg.heads):
-            sl = slice(h * dh, (h + 1) * dh)
-            scores = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
-            heads.append(row_softmax(scores) @ v[:, sl])
-        z = z + np.hstack(heads) @ layer["wo"].data
-        un = ln(z, layer["ln2.gamma"].data, layer["ln2.beta"].data)
-        hmid = un @ layer["mlp.w1"].data + layer["mlp.b1"].data
-        hmid = hmid * 0.5 * (1.0 + erf(hmid / np.sqrt(2.0)))
-        z = z + hmid @ layer["mlp.w2"].data + layer["mlp.b2"].data
-
-    x = ln(z[0:1], model.head["ln.gamma"].data, model.head["ln.beta"].data)
-    for i in range(cfg.head_layers):
-        if i:
-            x = x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
-        x = x @ model.head[f"{i}.w"].data + model.head[f"{i}.b"].data
-    return x.reshape(-1)
-
-
 class TestForwardPasses:
     def test_toy_logit_shape_and_finiteness(self):
         model = FuseVitModel.build(toy_cfg())
@@ -189,7 +124,7 @@ class TestForwardPasses:
         for _ in range(5):
             image = rng.uniform(0, 1, (32, 32, 1))
             got = model.forward(image).logits.data
-            expected = plain_vit_oracle(model, image)
+            expected = plain_vit(model, image)
             assert np.allclose(got, expected, atol=1e-5)
 
     def test_pass_through_equals_plain_forward(self):
@@ -218,7 +153,7 @@ class TestForwardPasses:
         rng = np.random.default_rng(12)
         image = rng.uniform(0, 1, (32, 32, 1))
         assert np.allclose(model.plain_forward(image).data,
-                           plain_vit_oracle(model, image), atol=1e-5)
+                           plain_vit(model, image), atol=1e-5)
 
     def test_two_layer_plain_is_layer_composition(self):
         from fusevit.encoder import embed, encoder_layer, patchify
@@ -392,7 +327,7 @@ class TestCheckpoint:
             load_checkpoint(tmp_path / "ckpt")
 
     def test_load_makes_no_draw(self, tmp_path, monkeypatch):
-        model = FuseVitModel.build(toy_cfg(head_layers=2))
+        model = FuseVitModel.build(toy_cfg())
         image = np.random.default_rng(19).uniform(0, 1, (2, 32, 32, 1)).astype(np.float32)
         save_checkpoint(model, tmp_path / "ckpt")
 
@@ -408,16 +343,17 @@ class TestCheckpoint:
 class TestBuildDraws:
     """``build``'s parameter stream is pinned: names in order, dtype, bytes.
 
-    The digests were taken from the per-part dataclass build that preceded the
-    parameter table, so they guard the order of the draws.
+    The desk digest was taken from the per-part dataclass build that preceded
+    the parameter table, and the toy one from the table's loop over head
+    widths, so both guard the order of the draws.
     """
 
     @pytest.mark.parametrize("cfg, dtype, digest", [
         (ModelConfig(), np.float32,
          "ab20978abdd30c59c098066cfa4f4103ac6257336255fa964956d8af7de2c875"),
-        (replace(toy_config(), head_layers=3), np.float64,
-         "f5c915e41815681b10b35bb92b91ab3cbed7428e325a5b37476a249bfcdc16c3"),
-    ], ids=["desk-f32", "toy-head3-f64"])
+        (toy_config(), np.float64,
+         "a66e4e59e45f19cdd354c0d3a3f05a3e1abdedb49a533a916c8791120ab7bb70"),
+    ], ids=["desk-f32", "toy-f64"])
     def test_parameter_stream_digest(self, cfg, dtype, digest):
         h = hashlib.sha256()
         for name, p in FuseVitModel.build(cfg, dtype).named_parameters():
@@ -426,52 +362,3 @@ class TestBuildDraws:
             h.update(p.data.tobytes())
         assert h.hexdigest() == digest
 
-
-class TestMultiLayerHead:
-    """``head_layers=2``: two affine maps with a GELU between them."""
-
-    def test_logits_match_independent_oracle(self):
-        model = FuseVitModel.build(toy_cfg("none", head_layers=2), dtype=np.float64)
-        image = np.random.default_rng(40).uniform(0, 1, (32, 32, 1))
-        assert np.allclose(model.forward(image).logits.data,
-                           plain_vit_oracle(model, image), atol=1e-5)
-
-    def test_head_gradients_match_central_differences(self):
-        model = FuseVitModel.build(toy_cfg(layers=2, k=2, head_layers=2), dtype=np.float64)
-        image = np.random.default_rng(41).uniform(0, 1, (32, 32, 1))
-        frozen = model.forward(image).selections
-
-        def loss():
-            return cross_entropy(model.forward(image, frozen).logits, 1)
-
-        with Tape() as tape:
-            tape.backward(loss())
-        head = [(n, p) for n, p in model.named_parameters() if n.startswith("head.")]
-        assert [n for n, _ in head] == ["head.ln.gamma", "head.ln.beta", "head.0.w",
-                                        "head.0.b", "head.1.w", "head.1.b"]
-
-        def losses(p, copies):
-            saved = p.data
-            try:
-                out = []
-                for copy in copies:
-                    p.data = copy
-                    out.append(float(loss().data))
-                return out
-            finally:
-                p.data = saved
-
-        for name, p in head:
-            err = _central_difference(lambda copies: losses(p, copies), p.data,
-                                      p.grad.ravel(), END_TO_END_H)
-            assert err < END_TO_END_TOL, (name, err)
-
-    def test_checkpoint_round_trip(self, tmp_path):
-        model = FuseVitModel.build(toy_cfg(head_layers=2))
-        image = np.random.default_rng(42).uniform(0, 1, (32, 32, 1)).astype(np.float32)
-        save_checkpoint(model, tmp_path / "ckpt")
-        assert (tmp_path / "ckpt" / "head.1.w.ftz").is_file()
-        loaded = load_checkpoint(tmp_path / "ckpt")
-        assert loaded.cfg.head_layers == 2
-        assert np.array_equal(loaded.forward(image).logits.data,
-                              model.forward(image).logits.data)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fusevit.encoder import AttentionRecord, EncoderTrace
+from _reference import DIVERGENCE, GAMMA, random_trace, softmax
 from fusevit.errors import ConfigError, ShapeError
 from fusevit.selector import (
     REGISTRY,
@@ -17,25 +17,6 @@ from fusevit.selector import (
     select_per_layer,
     selection_trace_lines,
 )
-from fusevit.tensor import Tensor
-
-# the worked four-token example: row 0 favors token 3, column 0 is uniform
-GAMMA = np.array([[1.0, 2.0, 3.0, 4.0],
-                  [1.0, 2.0, 3.0, 4.0],
-                  [1.0, 2.0, 3.0, 4.0],
-                  [1.0, 4.0, 1.0, 1.0]])
-
-# constructed so the two rankings disagree: token 1 attends strongly back to
-# the class token (9 in column 0), token 3 only wins the class-token row
-DIVERGENCE = np.array([[1.0, 2.0, 3.0, 4.0],
-                       [9.0, 0.0, 0.0, 0.0],
-                       [1.0, 0.0, 0.0, 0.0],
-                       [1.0, 0.0, 0.0, 0.0]])
-
-
-def softmax_oracle(v):
-    e = np.exp(np.asarray(v, dtype=np.float64) - np.max(v))
-    return e / e.sum()
 
 
 class TestSaws:
@@ -51,7 +32,7 @@ class TestSaws:
 
     def test_weights_are_softmaxed_row_entries(self):
         sel = saws(GAMMA, 2)
-        probs = softmax_oracle(GAMMA[0])
+        probs = softmax(GAMMA[0])
         assert np.allclose(sel.weights, [probs[3], probs[2]], atol=1e-12)
 
     def test_k_out_of_range_rejected(self):
@@ -70,8 +51,8 @@ class TestMaws:
 
     def test_gamma_all_weights_match_oracle(self):
         sel = maws(GAMMA, 3)
-        row = softmax_oracle(GAMMA[0])
-        col = softmax_oracle(GAMMA[:, 0])
+        row = softmax(GAMMA[0])
+        col = softmax(GAMMA[:, 0])
         for idx, w in zip(sel.indices, sel.weights):
             assert abs(w - row[idx] * col[idx]) < 1e-7
 
@@ -80,8 +61,8 @@ class TestMaws:
         assert maws(DIVERGENCE, 1).indices == [1]
 
     def test_divergence_matches_brute_force(self):
-        row = softmax_oracle(DIVERGENCE[0])
-        col = softmax_oracle(DIVERGENCE[:, 0])
+        row = softmax(DIVERGENCE[0])
+        col = softmax(DIVERGENCE[:, 0])
         mutual = row * col
         best = int(np.argmax(mutual[1:])) + 1
         assert maws(DIVERGENCE, 1).indices == [best] == [1]
@@ -102,16 +83,6 @@ class TestMaws:
                 assert 0 not in sel.indices
                 assert all(w > 0 for w in sel.weights)
                 assert all(a >= b for a, b in zip(sel.weights, sel.weights[1:]))
-
-
-def random_trace(rng, layers, n):
-    records = [AttentionRecord(layer_index=i + 1,
-                               scores=Tensor(rng.standard_normal((n + 1, n + 1)),
-                                             dtype=np.float64))
-               for i in range(layers)]
-    hidden = [Tensor(rng.standard_normal((n + 1, 4)), dtype=np.float64)
-              for _ in range(layers)]
-    return EncoderTrace(hidden=hidden, attention=records)
 
 
 class TestSelectPerLayer:
@@ -219,8 +190,8 @@ def test_maws_weights_factorize():
         n = int(rng.integers(2, 12))
         a = rng.standard_normal((n + 1, n + 1)) * 3
         sel = maws(a, n)
-        row = softmax_oracle(a[0])
-        col = softmax_oracle(a[:, 0])
+        row = softmax(a[0])
+        col = softmax(a[:, 0])
         for idx, w in zip(sel.indices, sel.weights):
             assert abs(w - row[idx] * col[idx]) < 1e-7
 

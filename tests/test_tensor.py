@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from _reference import t64
 from fusevit import tensor as T
 from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError, OracleError, ShapeError, TapeError
@@ -24,10 +25,6 @@ from fusevit.tensor import (
     sum_all,
     transpose,
 )
-
-
-def t64(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad, dtype=np.float64)
 
 
 class TestTensorBasics:
