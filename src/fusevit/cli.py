@@ -1,9 +1,9 @@
 """One command-line entry point for the whole pipeline.
 
-Subcommands: gen, train, eval, compare, inspect, gradcheck. Configuration
-precedence is defaults < JSON config file < command-line flags; every config
-field has a flag of the same name, generated from ``RunConfig``. Exit codes:
-0 success, 1 usage or config error, 2 runtime or numeric error.
+Subcommands: gen, train, eval, compare, inspect, gradcheck. Configuration precedence is
+defaults < JSON config file < command-line flags; every config field has a flag of the same
+name, generated from ``RunConfig``. Exit codes: 0 success, 1 usage or config error, 2 runtime
+or numeric error or out of memory, 130 interrupted; a failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -321,7 +321,7 @@ _CONFIG_EXIT = (ConfigError, ShapeError, TraceMismatchError, FtzError)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, command = build_parser(), "fusevit"
     try:
         args = vars(parser.parse_args(argv))
         command, config = args.pop("command"), args.pop("config")
@@ -332,6 +332,12 @@ def main(argv: list[str] | None = None) -> int:
     except (FuseVitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print(f"error: out of memory ({command})", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -7,7 +7,6 @@ rather than post-softmax rows; see ``AttentionRecord``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,14 +16,12 @@ from .selector import REGISTRY
 from .tensor import (
     Tensor,
     add,
+    attention,
     concat_rows,
     gelu,
     layer_norm,
     matmul,
     reshape,
-    scale,
-    softmax,
-    transpose,
 )
 
 
@@ -151,43 +148,15 @@ def embed(patches: Tensor, pe: dict[str, Tensor]) -> Tensor:
 
 
 def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None):
-    """Multi-head self-attention with residual; also returns score capture.
-
-    ``z`` is ``(S, D)`` or a stack ``(..., S, D)``. The heads are an axis: q
-    and v split into ``(..., heads, S, dh)`` stacks, k into
-    ``(..., heads, dh, S)``, and one batched attention runs every head of
-    every slice.
-
-    Returns ``(out, scores)``. ``scores`` is the head-averaged pre-softmax
-    scaled dot-product matrix, ``(..., S, S)``, detached from the tape.
-    """
-    *lead, s, d = z.data.shape
-    if d % heads != 0:
-        raise ShapeError(f"width {d} not divisible by {heads} heads")
-    dh = d // heads
-    # axes that turn (..., S, heads, dh) into (..., heads, S, dh) and back,
-    # and into (..., heads, dh, S)
-    r = len(lead)
-    swap = (*range(r), r + 1, r, r + 2)
-    to_keys = (*range(r), r + 1, r + 2, r)
-
+    """Pre-norm multi-head self-attention with residual over ``z``, ``(S, D)`` or a
+    stack ``(..., S, D)``; returns ``(out, scores)``, the scores ``attention``'s."""
     zn = layer_norm(z, layer["ln1.gamma"], layer["ln1.beta"])
-
-    def split(w: Tensor, axes) -> Tensor:
-        return transpose(reshape(matmul(zn, w), (*lead, s, heads, dh)), axes)
-
-    q = split(layer["wq"], swap)
-    k_t = split(layer["wk"], to_keys)
-    v = split(layer["wv"], swap)
-    sh = scale(matmul(q, k_t), 1.0 / math.sqrt(dh))
-    merged = reshape(transpose(matmul(softmax(sh), v), swap), (*lead, s, d))
-    out = add(z, matmul(merged, layer["wo"]))
-
+    attended, scores = attention(zn, [layer[n] for n in ("wq", "wk", "wv", "wo")], heads)
+    out = add(z, attended)
     if not np.isfinite(out.data).all():
         where = f"layer {layer_index}" if layer_index is not None else "attention block"
         raise NumericError(f"non-finite values in attention output of {where}")
-
-    return out, Tensor._wrap(sh.data.sum(axis=-3) / heads)
+    return out, scores
 
 
 def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:

@@ -125,6 +125,7 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     a6x4, b4x5, a2x6x4 = _t(rng, 6, 4), _t(rng, 4, 5), _t(rng, 2, 6, 4)
     gamma, beta = _t(rng, 4), _t(rng, 4)
     a4x2x3 = T.reshape(a6x4, (4, 2, 3))
+    a3x4, att = _t(rng, 3, 4), [_t(rng, 4, 4) for _ in range(4)]  # 2 heads, dh=2: scale != 1
 
     # (name, op of x, shape of x); each lambda looks its op up in ``T`` when
     # called, so a replaced op is what gets checked
@@ -135,11 +136,9 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("add.bias", lambda x: T.add(a6x4, x), (4,)),
         ("mul", lambda x: T.mul(x, a6x4), (6, 4)),
         ("scale", lambda x: T.scale(x, -2.5), (6, 4)),
-        ("transpose", lambda x: T.transpose(x), (6, 4)),
         ("reshape", lambda x: T.reshape(x, (8, 3)), (6, 4)),
         ("concat_rows", lambda x: T.concat_rows([x, a6x4]), (6, 4)),
         ("matmul.batched", lambda x: T.matmul(x, a4x2x3), (4, 3, 2)),
-        ("transpose.axes", lambda x: T.transpose(x, (1, 2, 0)), (2, 3, 4)),
         ("gather_rows", lambda x: T.gather_rows(x, [0, 2, 2, 5]), (6, 4)),
         ("softmax.vec", lambda x: T.softmax(x), (7,)),
         ("softmax.rows", lambda x: T.softmax(x), (5, 5)),
@@ -159,6 +158,11 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("add.rows", lambda x: T.add(a2x6x4, x), (2, 1, 4)),
         ("layer_norm.gamma.rows", lambda x: T.layer_norm(a2x6x4, x, beta), (2, 1, 4)),
         ("layer_norm.beta.rows", lambda x: T.layer_norm(a2x6x4, gamma, x), (2, 1, 4)),
+        ("attention.x", lambda x: T.attention(x, att, 2)[0], (3, 4)),
+        ("attention.wq", lambda x: T.attention(a3x4, [x, *att[1:]], 2)[0], (4, 4)),
+        ("attention.wk", lambda x: T.attention(a3x4, [att[0], x, *att[2:]], 2)[0], (4, 4)),
+        ("attention.wv", lambda x: T.attention(a3x4, [*att[:2], x, att[3]], 2)[0], (4, 4)),
+        ("attention.wo", lambda x: T.attention(a3x4, [*att[:3], x], 2)[0], (4, 4)),
     ]
     results = []
     for name, op, shape in probes:

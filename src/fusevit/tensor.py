@@ -154,6 +154,13 @@ def _finish(out: Tensor, inputs: tuple[Tensor, ...], backward_rule) -> Tensor:
 # ---- primitive operations ------------------------------------------------
 
 
+def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
+    """``(dA, dB)`` of ``a @ b`` for its gradient ``g``; a shared matrix ``b`` sums all slices."""
+    if b.ndim == 2:
+        return g @ b.T, a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+    return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two matrices, of two stacks with equal leading axes,
     or of a stack ``(..., S, D)`` and one matrix ``(D, E)`` shared by every slice."""
@@ -161,18 +168,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
             or bd.ndim > 2 and (ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2])):
         raise ShapeError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
-    out = Tensor._wrap(ad @ bd)
-
-    if bd.ndim == 2:
-        def rule(g):
-            # the shared matrix collects the products of every slice
-            return (g @ bd.T,
-                    ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1]))
-    else:
-        def rule(g):
-            return g @ np.swapaxes(bd, -1, -2), np.swapaxes(ad, -1, -2) @ g
-
-    return _finish(out, (a, b), rule)
+    return _finish(Tensor._wrap(ad @ bd), (a, b), lambda g: _matmul_grads(ad, bd, g))
 
 
 def _fits(shape: tuple[int, ...], onto: tuple[int, ...]) -> bool:
@@ -221,20 +217,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def rule(g):
         return (g * c,)
-
-    return _finish(out, (a,), rule)
-
-
-def transpose(a: Tensor, axes: Sequence[int] | None = None) -> Tensor:
-    """Permute the axes; by default reverse them (the matrix transpose)."""
-    ndim = a.data.ndim
-    axes = tuple(reversed(range(ndim))) if axes is None else tuple(axes)
-    if sorted(axes) != list(range(ndim)):
-        raise ShapeError(f"transpose axes {axes} are not a permutation for {a.shape}")
-    out = Tensor._wrap(np.asarray(a.data.transpose(axes), order="C"))
-
-    def rule(g):
-        return (g.transpose(np.argsort(axes)),)
 
     return _finish(out, (a,), rule)
 
@@ -312,6 +294,55 @@ def softmax(v: Tensor) -> Tensor:
         return (y * (g - dot),)
 
     return _finish(out, (v,), rule)
+
+
+def attention(x: Tensor, weights: Sequence[Tensor], heads: int):
+    """Multi-head self-attention of ``x``, ``(S, D)`` or a stack ``(..., S, D)``, as one
+    record; ``weights`` are ``(wq, wk, wv, wo)``, each ``(D, D)`` or a stack with ``x``'s
+    leading axes. Returns the merged attended values times ``wo`` and the head-averaged
+    scaled pre-softmax scores ``(..., S, S)``, detached. The heads are an axis: q and v
+    split into ``(..., heads, S, dh)`` stacks, k into ``(..., heads, dh, S)``. The softmax
+    runs in place; the rule's bits equal those of the same chain of separate ops."""
+    xd, ws = x.data, tuple(w.data for w in weights)
+    sq = xd.shape[-1:] * 2
+    if xd.ndim < 2 or len(ws) != 4 or any(w.shape not in (sq, xd.shape[:-2] + sq) for w in ws):
+        raise ShapeError(f"attention of {xd.shape} with weights {[w.shape for w in ws]}")
+    (*lead, s, d), (wq, wk, wv, wo) = xd.shape, ws
+    if heads < 1 or d % heads:
+        raise ShapeError(f"width {d} not divisible by {heads} heads")
+    dh, c = d // heads, 1.0 / math.sqrt(d // heads)
+
+    def split(a, keys=False):  # (..., S, D) to (..., heads, S, dh), or kᵀ's (..., heads, dh, S)
+        a = a.reshape(*lead, s, heads, dh).swapaxes(-3, -2)
+        return np.ascontiguousarray(a.swapaxes(-2, -1) if keys else a)
+
+    def join(a, keys=False):  # and back, copied: BLAS rounds a strided view differently
+        a = a.swapaxes(-2, -1) if keys else a
+        return np.ascontiguousarray(a.swapaxes(-3, -2)).reshape(*lead, s, d)
+
+    q, k_t, v = split(xd @ wq), split(xd @ wk, keys=True), split(xd @ wv)
+    p = q @ k_t
+    p *= c
+    scores = Tensor._wrap(p.sum(axis=-3) / heads)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    merged = join(p @ v)
+
+    def rule(g):
+        dmerged, dwo = _matmul_grads(merged, wo, g)
+        dp, dv = _matmul_grads(p, v, split(dmerged))
+        dp -= (dp * p).sum(axis=-1, keepdims=True)  # softmax's rule, then scale's, in place
+        dp *= p
+        dp *= c
+        dq, dk_t = _matmul_grads(q, k_t, dp)
+        # x's partials add in the order a tape of separate ops replays them: v, k, q
+        dxv, dwv = _matmul_grads(xd, wv, join(dv))
+        dxk, dwk = _matmul_grads(xd, wk, join(dk_t, keys=True))
+        dxq, dwq = _matmul_grads(xd, wq, join(dq))
+        return dxv + dxk + dxq, dwq, dwk, dwv, dwo
+
+    return _finish(Tensor._wrap(merged @ wo), (x, *weights), rule), scores
 
 
 def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

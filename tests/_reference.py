@@ -56,17 +56,25 @@ def gelu(x):
     return x * 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
 
 
+def attention(x, wq, wk, wv, wo, heads):
+    """Multi-head self-attention over ``(S, D)`` tokens, one head at a time:
+    ``(out, scores)``, ``scores`` the head-averaged scaled pre-softmax matrix."""
+    q, k, v = x @ wq, x @ wk, x @ wv
+    dh = x.shape[-1] // heads
+    head_outs, scores = [], 0.0
+    for lo in range(0, x.shape[-1], dh):
+        sl = slice(lo, lo + dh)
+        logits = q[:, sl] @ k[:, sl].T / np.sqrt(dh)
+        scores = scores + logits / heads
+        head_outs.append(softmax(logits) @ v[:, sl])
+    return np.hstack(head_outs) @ wo, scores
+
+
 def encoder_block(z, layer, heads):
     """One pre-norm block over ``(S, D)`` tokens, one attention head at a time."""
     p = {key: t.data for key, t in layer.items()}
     zn = layer_norm(z, p["ln1.gamma"], p["ln1.beta"])
-    q, k, v = zn @ p["wq"], zn @ p["wk"], zn @ p["wv"]
-    dh = z.shape[-1] // heads
-    head_outs = []
-    for lo in range(0, z.shape[-1], dh):
-        sl = slice(lo, lo + dh)
-        head_outs.append(softmax(q[:, sl] @ k[:, sl].T / np.sqrt(dh)) @ v[:, sl])
-    u = z + np.hstack(head_outs) @ p["wo"]
+    u = z + attention(zn, p["wq"], p["wk"], p["wv"], p["wo"], heads)[0]
     hidden = gelu(layer_norm(u, p["ln2.gamma"], p["ln2.beta"]) @ p["mlp.w1"] + p["mlp.b1"])
     return u + hidden @ p["mlp.w2"] + p["mlp.b2"]
 

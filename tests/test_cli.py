@@ -455,13 +455,14 @@ class TestGradcheckCommand:
 
     def test_op_probe_names_and_order(self):
         assert [r.name for r in op_checks()] == [
-            "matmul.a", "matmul.b", "add.same", "add.bias", "mul", "scale", "transpose",
-            "reshape", "concat_rows", "matmul.batched", "transpose.axes", "gather_rows",
+            "matmul.a", "matmul.b", "add.same", "add.bias", "mul", "scale",
+            "reshape", "concat_rows", "matmul.batched", "gather_rows",
             "softmax.vec", "softmax.rows", "layer_norm.x", "layer_norm.gamma",
             "layer_norm.beta", "gelu", "sum_all", "cross_entropy", "softmax_cross_entropy",
             "matmul.shared.a", "matmul.shared.b", "add.suffix", "concat_rows.stack",
             "gather_rows.stack", "cross_entropy.batched", "add.rows", "layer_norm.gamma.rows",
-            "layer_norm.beta.rows"]
+            "layer_norm.beta.rows", "attention.x", "attention.wq", "attention.wk",
+            "attention.wv", "attention.wo"]
 
     def test_report_format(self):
         results = [CheckResult("matmul.a", 1.25e-9, 1e-5),
@@ -521,6 +522,29 @@ class TestExitCodes:
         if code:
             assert len(err) == 1 and err[0].startswith("error:"), err
             assert not out.exists()
+
+    @pytest.mark.parametrize("raised, code, message", [
+        (KeyboardInterrupt, 130, "error: interrupted"),
+        (MemoryError, 2, "error: out of memory ({command})"),
+    ], ids=["interrupt", "memory"])
+    @pytest.mark.parametrize("command, owner, name", [
+        ("gen", cli, "generate_synth"),
+        ("train", cli, "train"),
+        ("compare", FuseVitModel, "build"),
+    ], ids=["gen", "train", "compare"])
+    def test_interrupt_and_out_of_memory_are_one_line(self, command, owner, name, raised,
+                                                      code, message, tiny_dataset, tmp_path,
+                                                      monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise raised()
+
+        monkeypatch.setattr(owner, name, fail)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(command, *GEN_ARGS, *TINY_MODEL, "--dataset", str(tiny_dataset),
+                       "--out", str(out)) == code
+        assert capsys.readouterr().err == message.format(command=command) + "\n"
+        assert not out.exists()
 
 
 class TestOutPath:

@@ -1,18 +1,22 @@
 """Tensor engine: op semantics, backward rules, and the FD oracle."""
 
+import inspect
+
 import numpy as np
 import pytest
 
+import _reference as ref
 from _reference import t64
 from fusevit import tensor as T
 from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError, OracleError, ShapeError, TapeError
-from fusevit.gradcheck import finite_diff_check
+from fusevit.gradcheck import finite_diff_check, op_checks
 from fusevit.model import FuseVitModel
 from fusevit.tensor import (
     Tape,
     Tensor,
     add,
+    attention,
     concat_rows,
     cross_entropy,
     gather_rows,
@@ -23,7 +27,6 @@ from fusevit.tensor import (
     reshape,
     softmax,
     sum_all,
-    transpose,
 )
 
 
@@ -126,33 +129,67 @@ class TestMatmul:
             matmul(t64(np.zeros(a_shape)), t64(np.zeros(b_shape)))
 
 
-class TestTranspose:
-    def test_default_reverses_axes(self):
-        x = np.arange(24.0).reshape(2, 3, 4)
-        assert np.array_equal(transpose(t64(x)).data, x.T)
-        assert np.array_equal(transpose(t64(x[0])).data, x[0].T)
+def _attention_inputs(seed, lead=(), weight_lead=(), s=5, d=8):
+    """``x`` shaped ``(*lead, s, d)`` and ``[wq, wk, wv, wo]``, each ``(*weight_lead, d, d)``."""
+    rng = np.random.default_rng(seed)
+    x = t64(rng.standard_normal((*lead, s, d)))
+    return x, [t64(rng.standard_normal((*weight_lead, d, d)) / np.sqrt(d)) for _ in range(4)]
 
-    def test_axes_permute_and_output_is_row_major(self):
-        x = np.arange(24.0).reshape(2, 3, 4)
-        out = transpose(t64(x), (1, 2, 0)).data
-        assert np.array_equal(out, x.transpose(1, 2, 0))
-        assert out.flags["C_CONTIGUOUS"]
 
-    def test_backward_applies_inverse_permutation(self):
-        x = t64(np.zeros((2, 3, 4)), requires_grad=True)
-        w = np.arange(24.0).reshape(3, 4, 2)
+class TestAttention:
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_output_and_scores_match_reference(self, heads):
+        x, ws = _attention_inputs(20)
+        out, scores = attention(x, ws, heads)
+        expected_out, expected_scores = ref.attention(x.data, *(w.data for w in ws), heads)
+        assert np.allclose(out.data, expected_out, rtol=1e-12, atol=1e-12)
+        assert np.allclose(scores.data, expected_scores, rtol=1e-12, atol=1e-12)
+
+    def test_stack_equals_each_image(self):
+        x, ws = _attention_inputs(21, lead=(3,))
+        w = t64(np.random.default_rng(22).standard_normal(x.shape))
+        x.requires_grad = True
         with Tape() as tape:
-            tape.backward(sum_all(mul(transpose(x, (1, 2, 0)), t64(w))))
-        assert np.array_equal(x.grad, w.transpose(2, 0, 1))
+            out, scores = attention(x, ws, 2)
+            tape.backward(sum_all(mul(out, w)))
+        for i in range(3):
+            xi = t64(x.data[i], requires_grad=True)
+            with Tape() as tape:
+                out_i, scores_i = attention(xi, ws, 2)
+                tape.backward(sum_all(mul(out_i, t64(w.data[i]))))
+            assert np.array_equal(out.data[i], out_i.data)
+            assert np.array_equal(scores.data[i], scores_i.data)
+            assert np.array_equal(x.grad[i], xi.grad)
 
-    def test_scalar_stays_a_scalar(self):
-        out = transpose(t64(2.0)).data
-        assert out.shape == () and out == 2.0
+    @pytest.mark.parametrize("slot", range(5), ids=["x", "wq", "wk", "wv", "wo"])
+    def test_stacked_weights_gradient_matches_finite_differences(self, slot):
+        # the end-to-end gradcheck's forwards pass one weight as an (n, D, D) stack
+        x, ws = _attention_inputs(23, lead=(2,), weight_lead=(2,), s=3, d=4)
+        args = [x, *ws]
+        w = t64(np.random.default_rng(24).standard_normal(x.shape))
 
-    @pytest.mark.parametrize("axes", [(0, 1), (0, 0, 1), (0, 1, 3)])
-    def test_non_permutation_rejected(self, axes):
-        with pytest.raises(ShapeError, match="permutation"):
-            transpose(t64(np.zeros((2, 3, 4))), axes)
+        def loss(t):
+            a = args[:slot] + [t] + args[slot + 1:]
+            return sum_all(mul(attention(a[0], a[1:], 2)[0], w))
+
+        assert finite_diff_check(loss, args[slot]) < 1e-5
+
+    def test_one_tape_record(self):
+        x, ws = _attention_inputs(25)
+        x.requires_grad = True
+        with Tape() as tape:
+            _, scores = attention(x, ws, 2)
+        assert len(tape) == 1
+        assert not scores.requires_grad
+
+
+def test_every_recording_op_has_a_named_probe():
+    recording = {name for name, fn in vars(T).items()
+                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
+                 and not name.startswith("_") and "_finish" in fn.__code__.co_names}
+    probed = {r.name.split(".")[0] for r in op_checks()}
+    assert "attention" in recording and "matmul" in recording
+    assert sorted(recording - probed) == []
 
 
 class TestSoftmax:
@@ -441,12 +478,9 @@ def _probe_ops(rng):
     batch = int(rng.integers(1, 5))
     b3 = rt(batch, inner, cols)
     w3 = rt(batch, rows, cols)
-    w_tr = rt(cols, batch, rows)
     probes += [
         ("matmul.batched", lambda t: sum_all(mul(matmul(t, b3), w3)),
          rt(batch, rows, inner)),
-        ("transpose.axes", lambda t: sum_all(mul(transpose(t, (2, 0, 1)), w_tr)),
-         rt(batch, rows, cols)),
     ]
     # the batch-axis forms draw after those, for the same reason
     a3 = rt(batch, rows, inner)
@@ -532,8 +566,9 @@ def _vector_valued(x):
     (lambda: layer_norm(t64(np.zeros((6, 4))), t64(np.ones((2, 1, 4))), t64(np.zeros(4))),
      ShapeError, "layer_norm affine shapes (2, 1, 4)/(4,) do not match D=4"),
     (lambda: softmax(t64(1.0)), ShapeError, "softmax of an empty tensor"),
-    (lambda: transpose(t64(1.0), (0,)), ShapeError,
-     "transpose axes (0,) are not a permutation for ()"),
+    (lambda: attention(t64(np.zeros((3, 4))), [t64(np.zeros((4, 4)))] * 3
+                       + [t64(np.zeros((4, 5)))], 2), ShapeError,
+     "attention of (3, 4) with weights [(4, 4), (4, 4), (4, 4), (4, 5)]"),
     (lambda: finite_diff_check(sum_all, t64([1.0]), h=0.0), ConfigError,
      "finite difference step must be positive, got 0.0"),
     (lambda: finite_diff_check(_vector_valued, t64([1.0, 2.0])), ShapeError,
@@ -544,7 +579,7 @@ def _vector_valued(x):
      NumericError, "tensor holds non-finite values"),
 ], ids=["add", "add-grows-a", "mul", "reshape", "concat-empty", "concat-mismatch",
         "gather-index-shape", "gather-range", "layer-norm-affine", "layer-norm-affine-grows",
-        "softmax-0d", "transpose-0d", "fd-step",
+        "softmax-0d", "attention-weights", "fd-step",
         "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:

@@ -14,7 +14,7 @@ from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError
 from fusevit.model import FuseVitModel
 from fusevit.selector import REGISTRY
-from fusevit.tensor import Tensor, cross_entropy
+from fusevit.tensor import Tape, Tensor, cross_entropy
 from fusevit.train import (
     EvalReport,
     TrainConfig,
@@ -221,6 +221,23 @@ class TestTrainLoop:
         monkeypatch.setattr(model, "forward", counting_forward)
         train(model, ds, tcfg)
         assert shapes == [(tcfg.batch_size, 16, 16, 1)] * tcfg.total_steps
+
+    def test_desk_training_call_records_58_ops(self, monkeypatch):
+        # a deterministic count, whatever the BLAS kernel: each attention
+        # sub-layer is three records, layer_norm, attention and add
+        lengths = []
+        backward = Tape.backward
+
+        def counting_backward(tape, loss):
+            lengths.append(len(tape))
+            return backward(tape, loss)
+
+        monkeypatch.setattr(Tape, "backward", counting_backward)
+        dataset = generate_synth(SynthSpec(seed=55))
+        tcfg = TrainConfig(lr0=5e-4, momentum=0.95, total_steps=1, batch_size=16, seed=77,
+                           augment=AugmentConfig(flip=True, crop_size=32, resize_to=32))
+        train(FuseVitModel.build(ModelConfig(seed=66)), dataset, tcfg)
+        assert lengths == [58]
 
     def test_step_matches_per_image_loss_and_accuracy(self):
         # the batched step's first row equals the mean of per-image losses
