@@ -18,7 +18,7 @@ from .tensor import (
     add,
     attention,
     concat_rows,
-    gelu,
+    feedforward,
     layer_norm,
     matmul,
     reshape,
@@ -160,8 +160,8 @@ def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None
 
 
 def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
-    hidden = gelu(add(matmul(z, layer["mlp.w1"]), layer["mlp.b1"]))
-    return add(matmul(hidden, layer["mlp.w2"]), layer["mlp.b2"])
+    """The block's MLP over ``z``, one ``feedforward`` record."""
+    return feedforward(z, (layer["mlp.w1"], layer["mlp.b1"], layer["mlp.w2"], layer["mlp.b2"]))
 
 
 def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None):

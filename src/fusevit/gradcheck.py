@@ -145,7 +145,8 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("layer_norm.x", lambda x: T.layer_norm(x, gamma, beta), (6, 4)),
         ("layer_norm.gamma", lambda x: T.layer_norm(a6x4, x, beta), (4,)),
         ("layer_norm.beta", lambda x: T.layer_norm(a6x4, gamma, x), (4,)),
-        ("gelu", lambda x: T.gelu(x), (6, 4)),
+    ]
+    later = [
         ("sum_all", lambda x: T.sum_all(x), (6, 4)),
         ("cross_entropy", lambda x: T.cross_entropy(x, 3), (7,)),
         ("softmax_cross_entropy", lambda x: T.cross_entropy(T.softmax(x), 2), (7,)),
@@ -164,13 +165,30 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("attention.wv", lambda x: T.attention(a3x4, [*att[:2], x, att[3]], 2)[0], (4, 4)),
         ("attention.wo", lambda x: T.attention(a3x4, [*att[:3], x], 2)[0], (4, 4)),
     ]
-    results = []
-    for name, op, shape in probes:
-        x = _t(rng, *shape)
-        w = _t(rng, *op(x).shape)
-        err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v), w)), x, h=1e-5)
-        results.append(CheckResult(name, err, OP_TOL))
-    return results
+    results = [_probe(rng, *p) for p in probes]
+    # the 48 draws of a gelu probe that stood here, whose op feedforward took in: every
+    # later probe keeps the inputs, and the report row, it had
+    rng.standard_normal(48)
+    results += [_probe(rng, *p) for p in later]
+    # feedforward's inputs draw after every probe above, for the same reason;
+    # S=2, D=2 and a hidden width of 3 make every slot's shape distinct
+    a2x2, ff = _t(rng, 2, 2), [_t(rng, 2, 3), _t(rng, 3), _t(rng, 3, 2), _t(rng, 2)]
+    return results + [_probe(rng, *p) for p in [
+        ("feedforward.x", lambda x: T.feedforward(x, ff), (2, 2)),
+        ("feedforward.w1", lambda x: T.feedforward(a2x2, [x, *ff[1:]]), (2, 3)),
+        ("feedforward.b1", lambda x: T.feedforward(a2x2, [ff[0], x, *ff[2:]]), (3,)),
+        ("feedforward.w2", lambda x: T.feedforward(a2x2, [*ff[:2], x, ff[3]]), (3, 2)),
+        ("feedforward.b2", lambda x: T.feedforward(a2x2, [*ff[:3], x]), (2,)),
+    ]]
+
+
+def _probe(rng: np.random.Generator, name: str, op: Callable[[Tensor], Tensor],
+           shape: tuple[int, ...]) -> CheckResult:
+    """One probe of ``op_checks``: draw ``x``, then ``w``, and check ``op``."""
+    x = _t(rng, *shape)
+    w = _t(rng, *op(x).shape)
+    err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v), w)), x, h=1e-5)
+    return CheckResult(name, err, OP_TOL)
 
 
 def toy_config() -> ModelConfig:

@@ -3,7 +3,9 @@
 Values are numpy arrays (float32 for training, float64 for verification)
 stored row-major. Operations executed inside a ``with Tape():`` block are
 recorded together with a backward rule; ``Tape.backward(loss)`` replays the
-tape in reverse and accumulates gradients into ``Tensor.grad`` buffers.
+tape in reverse, accumulates gradients into the ``Tensor.grad`` buffers of
+the leaves, and frees each record, with the forward buffers its rule held,
+as soon as the rule has run.
 
 Gradients add across fan-out and across repeated backward calls on fresh
 tapes; callers zero them between optimizer steps. A tape can be replayed
@@ -94,7 +96,7 @@ class Tape:
 
     def __init__(self):
         self._records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
-        self._consumed = False
+        self._replayed = 0  # records freed by backward, still counted by len()
 
     def __enter__(self):
         _TAPE_STACK.append(self)
@@ -106,25 +108,37 @@ class Tape:
         return False
 
     def __len__(self) -> int:
-        return len(self._records)
+        """The number of ops recorded, also after ``backward`` has freed them."""
+        return self._replayed + len(self._records)
 
     def backward(self, loss: Tensor) -> None:
-        """Populate grad buffers of every requires_grad tensor on this tape."""
-        if self._consumed:
+        """Add the loss's gradient into the ``.grad`` of every requires_grad leaf
+        on this tape; a leaf the loss does not reach gets zeros.
+
+        Each record, with the forward buffers its rule held, is dropped as soon
+        as the rule has run, and each intermediate's ``.grad`` is set to None
+        once its rule has read it, so memory falls as the replay goes.
+        """
+        if self._replayed:
             raise TapeError("tape already replayed; run a new forward pass first")
         if loss.shape != ():
             raise TapeError(f"backward needs a scalar loss, got shape {loss.shape}")
         # the loss is normally the last record, so scan from the end
         if not any(out is loss for out, _, _ in reversed(self._records)):
             raise TapeError("loss was not produced under this tape")
-        self._consumed = True
+        records, self._records = self._records, []
+        self._replayed = len(records)
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        for output, inputs, rule in reversed(self._records):
-            out_grad = output.grad
+        unreached = {}  # requires_grad inputs of records without flow, by id
+        while records:
+            output, inputs, rule = records.pop()
+            # an intermediate's own record comes after all its consumers' records
+            unreached.pop(id(output), None)
+            out_grad, output.grad = output.grad, None
             if out_grad is None:
+                unreached.update((id(t), t) for t in inputs if t.requires_grad)
                 continue
-            partials = rule(out_grad)
-            for t, p in zip(inputs, partials):
+            for t, p in zip(inputs, rule(out_grad)):
                 if not t.requires_grad:
                     continue
                 if t.grad is None:
@@ -134,11 +148,10 @@ class Tape:
                     t.grad = p.copy() if p is out_grad or p.base is not None else p
                 else:
                     t.grad += p
-        # tensors that never received flow end up with 0
-        for output, inputs, _ in self._records:
-            for t in (*inputs, output):
-                if t.grad is None and t.requires_grad:
-                    t.grad = np.zeros_like(t.data)
+            del p  # the last partial would otherwise live through the next rule
+        for t in unreached.values():
+            if t.grad is None:
+                t.grad = np.zeros_like(t.data)
 
 
 _TAPE_STACK: list[Tape] = []
@@ -161,13 +174,19 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g: np.ndarray):
     return g @ np.swapaxes(b, -1, -2), np.swapaxes(a, -1, -2) @ g
 
 
+def _product_shape(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Shape of ``a @ b`` for the forms ``matmul`` takes; a ShapeError for any other."""
+    if (len(a) < 2 or len(b) < 2 or a[-1] != b[-2]
+            or len(b) > 2 and (len(a) != len(b) or a[:-2] != b[:-2])):
+        raise ShapeError(f"matmul shape mismatch: {a} x {b}")
+    return a[:-1] + b[-1:]
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two matrices, of two stacks with equal leading axes,
     or of a stack ``(..., S, D)`` and one matrix ``(D, E)`` shared by every slice."""
     ad, bd = a.data, b.data
-    if (ad.ndim < 2 or bd.ndim < 2 or ad.shape[-1] != bd.shape[-2]
-            or bd.ndim > 2 and (ad.ndim != bd.ndim or ad.shape[:-2] != bd.shape[:-2])):
-        raise ShapeError(f"matmul shape mismatch: {ad.shape} x {bd.shape}")
+    _product_shape(ad.shape, bd.shape)
     return _finish(Tensor._wrap(ad @ bd), (a, b), lambda g: _matmul_grads(ad, bd, g))
 
 
@@ -185,13 +204,17 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return out if out.shape == shape else out.reshape(shape)
 
 
+def _check_add(a: tuple[int, ...], b: tuple[int, ...]) -> None:
+    # the suffix form is what the model passes, so it is tested first
+    if a[len(a) - len(b):] != b and not _fits(b, a):
+        raise ShapeError(f"add shape mismatch: {a} + {b}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may broadcast onto ``a`` by numpy's rule if ``a``'s
     shape does not grow: a bias, a position table or a stack of ``(..., 1, D)`` rows."""
     ad, bd = a.data, b.data
-    # the suffix form is what the model passes, so it is tested first
-    if ad.shape[ad.ndim - bd.ndim:] != bd.shape and not _fits(bd.shape, ad.shape):
-        raise ShapeError(f"add shape mismatch: {ad.shape} + {bd.shape}")
+    _check_add(ad.shape, bd.shape)
     out = Tensor._wrap(ad + bd)
 
     def rule(g):
@@ -357,37 +380,71 @@ def layer_norm(v: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             or beta.shape != (d,) and not _fits(beta.shape, x.shape)):
         raise ShapeError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match D={d}")
+    # work in place keeps a buffer's dtype, where numpy would widen a mixed chain of ops
+    if not x.dtype == gamma.data.dtype == beta.data.dtype:
+        raise ShapeError(f"layer_norm takes one dtype, got "
+                         f"{[str(t.dtype) for t in (v, gamma, beta)]}")
     # np.add.reduce / d is what ndarray.mean computes, without its dispatch cost
     mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
+    xhat = xc * xc  # xc * xc, then xhat; xc's buffer takes the output
+    var = np.add.reduce(xhat, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    out = Tensor._wrap(xhat * gamma.data + beta.data)
+    np.multiply(xc, inv, out=xhat)
+    out = np.multiply(xhat, gamma.data, out=xc)
+    out += beta.data
 
     def rule(g):
-        dgamma = _sum_to(g * xhat, gamma.shape)
-        dbeta = _sum_to(g, beta.shape)
-        dxhat = g * gamma.data
-        dx = inv * (dxhat
-                    - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
-                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
+        s = g * xhat  # one scratch buffer: g * xhat, dxhat * xhat, then xhat * m2
+        dgamma, dbeta = _sum_to(s, gamma.shape), _sum_to(g, beta.shape)
+        dx = g * gamma.data  # dxhat, made dx in place
+        m1 = np.add.reduce(dx, axis=-1, keepdims=True) / d
+        m2 = np.add.reduce(np.multiply(dx, xhat, out=s), axis=-1, keepdims=True) / d
+        dx -= m1
+        dx -= np.multiply(xhat, m2, out=s)
+        dx *= inv
         return dx, dgamma, dbeta
 
-    return _finish(out, (v, gamma, beta), rule)
+    return _finish(Tensor._wrap(out), (v, gamma, beta), rule)
 
 
-def gelu(v: Tensor) -> Tensor:
-    """Exact-CDF GELU: x * Phi(x) with the Gaussian CDF, no tanh shortcut."""
-    x = v.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor._wrap(x * cdf)
+def feedforward(x: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """The MLP ``gelu(x @ w1 + b1) @ w2 + b2`` as one record, with the exact-CDF GELU
+    ``h * Phi(h)`` (no tanh shortcut); ``weights`` are ``(w1, b1, w2, b2)``, each in a
+    form ``matmul``'s or ``add``'s ``b`` takes. The bias adds and the CDF run in place;
+    the record holds ``h`` and the CDF, and its rule's bits equal those of the same
+    chain of separate ops."""
+    xd = x.data
+    if len(weights) != 4:
+        raise ShapeError(f"feedforward takes 4 weights, got {len(weights)}")
+    w1, b1, w2, b2 = (w.data for w in weights)
+    if not xd.dtype == w1.dtype == b1.dtype == w2.dtype == b2.dtype:  # as in layer_norm
+        raise ShapeError(f"feedforward takes one dtype, got "
+                         f"{[str(t.dtype) for t in (x, *weights)]}")
+    _check_add(hidden := _product_shape(xd.shape, w1.shape), b1.shape)
+    _check_add(_product_shape(hidden, w2.shape), b2.shape)
+    h = xd @ w1
+    h += b1
+    cdf = h * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = (h * cdf) @ w2
+    out += b2
 
     def rule(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        return (g * (cdf + x * pdf),)
+        da, dw2 = _matmul_grads(h * cdf, w2, g)  # h * cdf is exact: the GELU's value again
+        slope = h * -0.5  # the GELU's slope cdf + h * pdf, in the unfused op's order
+        slope *= h
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= h
+        slope += cdf
+        da *= slope  # now h's gradient
+        dx, dw1 = _matmul_grads(xd, w1, da)
+        return dx, dw1, _sum_to(da, b1.shape), dw2, _sum_to(g, b2.shape)
 
-    return _finish(out, (v,), rule)
+    return _finish(Tensor._wrap(out), (x, *weights), rule)
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -130,22 +130,25 @@ def train(model: FuseVitModel, dataset: SynthDataset, cfg: TrainConfig) -> Train
                                            augment_rng) for i in idx])
                 labels = dataset.train.labels[idx]
                 result = model.forward(images)
+                correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
                 loss = scale(sum_all(cross_entropy(result.logits, labels)), 1.0 / len(idx))
+                # the hidden states then live only in the records, which backward frees
+                del result
                 loss_value = float(loss.data)
                 if not np.isfinite(loss_value):
                     raise NumericError("non-finite loss")
                 tape.backward(loss)
         except NumericError as exc:
             raise NumericError(f"{exc} at step {step}") from exc
-        correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
 
-        grads = [p.grad for _, p in named]
-        new_params, velocities = sgd_step(
-            [p.data for _, p in named], grads, velocities, lr, cfg.momentum)
+        # the gradients live only in p.grad, which the next step's zero_grad frees
+        new_params, velocities = sgd_step([p.data for _, p in named],
+                                          [p.grad for _, p in named], velocities, lr,
+                                          cfg.momentum)
         # a non-finite gradient always makes its new parameter non-finite
-        for (name, _), grad, arr in zip(named, grads, new_params):
+        for (name, p), arr in zip(named, new_params):
             if not np.isfinite(arr).all():
-                what = "parameter" if np.isfinite(grad).all() else "gradient of"
+                what = "parameter" if np.isfinite(p.grad).all() else "gradient of"
                 raise NumericError(f"non-finite {what} {name} at step {step}")
         for (_, p), arr in zip(named, new_params):
             p.data = arr

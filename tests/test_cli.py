@@ -458,11 +458,12 @@ class TestGradcheckCommand:
             "matmul.a", "matmul.b", "add.same", "add.bias", "mul", "scale",
             "reshape", "concat_rows", "matmul.batched", "gather_rows",
             "softmax.vec", "softmax.rows", "layer_norm.x", "layer_norm.gamma",
-            "layer_norm.beta", "gelu", "sum_all", "cross_entropy", "softmax_cross_entropy",
+            "layer_norm.beta", "sum_all", "cross_entropy", "softmax_cross_entropy",
             "matmul.shared.a", "matmul.shared.b", "add.suffix", "concat_rows.stack",
             "gather_rows.stack", "cross_entropy.batched", "add.rows", "layer_norm.gamma.rows",
             "layer_norm.beta.rows", "attention.x", "attention.wq", "attention.wk",
-            "attention.wv", "attention.wo"]
+            "attention.wv", "attention.wo", "feedforward.x", "feedforward.w1",
+            "feedforward.b1", "feedforward.w2", "feedforward.b2"]
 
     def test_report_format(self):
         results = [CheckResult("matmul.a", 1.25e-9, 1e-5),

@@ -133,18 +133,22 @@ def test_end_to_end_passes_on_many_seeds():
 
 
 def test_sign_flipped_gelu_backward_detected(monkeypatch):
-    def flipped_gelu(v):
-        x = v.data
-        cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    # feedforward with the GELU's slope negated in its rule: the partials of x, w1 and
+    # b1 flip sign, w2's and b2's stay right. Stacked weights reach only the forward
+    def flipped_feedforward(x, weights):
+        w1, b1, w2, b2 = (w.data for w in weights)
+        h = x.data @ w1 + b1
+        cdf = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+        a = h * cdf
 
         def rule(g):
-            pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-            return (-g * (cdf + x * pdf),)
+            dh = -(g @ w2.T) * (cdf + h * np.exp(-0.5 * h * h) / math.sqrt(2.0 * math.pi))
+            return dh @ w1.T, x.data.T @ dh, dh.sum(axis=0), a.T @ g, g.sum(axis=0)
 
-        return _finish(Tensor._wrap(x * cdf), (v,), rule)
+        return _finish(Tensor._wrap(a @ w2 + b2), (x, *weights), rule)
 
-    monkeypatch.setattr(encoder, "gelu", flipped_gelu)
+    monkeypatch.setattr(encoder, "feedforward", flipped_feedforward)
     failed = {r.name for r in end_to_end_check() if not r.passed}
-    # a matrix (mlp.w1) and a vector (mlp.b1) behind the flipped gelu both fail
+    # a matrix (mlp.w1) and a vector (mlp.b1) behind the flipped slope both fail
     assert {"end_to_end.layer.1.mlp.w1", "end_to_end.layer.1.mlp.b1"} <= failed
     assert not {"end_to_end.head.0.w", "end_to_end.head.0.b"} & failed

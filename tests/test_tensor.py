@@ -1,9 +1,11 @@
 """Tensor engine: op semantics, backward rules, and the FD oracle."""
 
 import inspect
+import weakref
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import _reference as ref
 from _reference import t64
@@ -19,8 +21,8 @@ from fusevit.tensor import (
     attention,
     concat_rows,
     cross_entropy,
+    feedforward,
     gather_rows,
-    gelu,
     layer_norm,
     matmul,
     mul,
@@ -229,6 +231,19 @@ class TestSoftmax:
         assert np.isfinite(out).all()
 
 
+def _value_and_grads(op, inputs, seed):
+    """``op``'s value and the gradients of ``inputs`` for a random output gradient
+    ``g``, which ``sum_all(mul(out, g))`` hands the op exactly; also ``g``."""
+    for t in inputs:
+        t.requires_grad = True
+        t.grad = None
+    with Tape() as tape:
+        out = op(*inputs)
+        g = np.random.default_rng(seed).standard_normal(out.shape).astype(out.dtype)
+        tape.backward(sum_all(mul(out, Tensor(g, dtype=out.dtype))))
+    return out.data, [t.grad for t in inputs], g
+
+
 class TestLayerNorm:
     def test_constant_vector_collapses_to_zero(self):
         gamma, beta = t64(np.ones(4)), t64(np.zeros(4))
@@ -260,6 +275,35 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(t64(np.zeros((2, 0))), t64(np.zeros(0)), t64(np.zeros(0)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape, affine_shape", [
+        ((16,), (16,)), ((5, 16), (16,)), ((3, 4, 16), (16,)), ((3, 4, 16), (3, 1, 16))],
+        ids=["vector", "matrix", "stack", "rows"])
+    def test_value_and_gradients_equal_the_unfused_formulas_bitwise(self, dtype, x_shape,
+                                                                    affine_shape):
+        rng = np.random.default_rng(7)
+        inputs = [Tensor(rng.standard_normal(s) * 3.0 + 1.0, dtype=dtype)
+                  for s in (x_shape, affine_shape, affine_shape)]
+        before = [t.data.copy() for t in inputs]
+        out, grads, g = _value_and_grads(layer_norm, inputs, 8)
+        assert all(t.data.tobytes() == b.tobytes() for t, b in zip(inputs, before))
+        # the formulas as separate temporaries, each a fresh array
+        x, gamma, beta = before
+        d = x.shape[-1]
+        mu = np.add.reduce(x, axis=-1, keepdims=True) / d
+        xc = x - mu
+        inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / d + T.LN_EPS)
+        xhat = xc * inv
+        dxhat = g * gamma
+        dx = inv * (dxhat - np.add.reduce(dxhat, axis=-1, keepdims=True) / d
+                    - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / d))
+        lead = tuple(range(x.ndim - len(affine_shape)))
+        rows = lead + tuple(i for i, n in enumerate(affine_shape, len(lead)) if n == 1)
+        expected = [xhat * gamma + beta, dx, (g * xhat).sum(axis=rows).reshape(affine_shape),
+                    g.sum(axis=rows).reshape(affine_shape)]
+        for got, want in zip([out, *grads], expected):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("wrt", [0, 1, 2], ids=["x", "gamma", "beta"])
     def test_one_vector_gradient_matches_finite_differences(self, wrt):
         # a 1-D input has no leading axes for dgamma and dbeta to sum over
@@ -273,16 +317,77 @@ class TestLayerNorm:
         assert finite_diff_check(f, args[wrt]) < 1e-6
 
 
+def _gelu(x):
+    """The GELU alone: ``feedforward`` through identity weights and zero biases,
+    whose products and sums are exact."""
+    d = x.shape[-1]
+    eye, zeros = Tensor(np.eye(d), dtype=x.dtype), Tensor(np.zeros(d), dtype=x.dtype)
+    return feedforward(x, [eye, zeros, eye, zeros])
+
+
 class TestGelu:
     def test_zero(self):
-        assert gelu(t64([0.0])).data[0] == 0.0
+        assert _gelu(t64([[0.0]])).data[0, 0] == 0.0
 
     def test_asymptote(self):
-        assert abs(gelu(t64([10.0])).data[0] - 10.0) < 1e-6
+        assert abs(_gelu(t64([[10.0]])).data[0, 0] - 10.0) < 1e-6
 
     def test_at_one(self):
         # 1 * Phi(1), frozen from a 50-digit erf evaluation
-        assert abs(gelu(t64([1.0])).data[0] - 0.8413447460685429) < 1e-12
+        assert abs(_gelu(t64([[1.0]])).data[0, 0] - 0.8413447460685429) < 1e-12
+
+
+def _unfused_feedforward(x, w1, b1, w2, b2, g):
+    """The value and the five partials of ``gelu(x @ w1 + b1) @ w2 + b2`` for the
+    gradient ``g``, as a tape of separate matmul, add and gelu ops computes them."""
+    h = x @ w1 + b1
+    cdf = 0.5 * (1.0 + erf(h * T._INV_SQRT2))
+    a = h * cdf
+    lead = tuple(range(g.ndim - 1))
+    da = g @ w2.T
+    dh = da * (cdf + h * (np.exp(-0.5 * h * h) * T._INV_SQRT_2PI))
+    return (a @ w2 + b2, dh @ w1.T, x.reshape(-1, x.shape[-1]).T @ dh.reshape(-1, dh.shape[-1]),
+            dh.sum(axis=lead), a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1]),
+            g.sum(axis=lead))
+
+
+class TestFeedforward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one", "stack"])
+    def test_value_and_gradients_equal_the_unfused_chain_bitwise(self, dtype, lead):
+        rng = np.random.default_rng(30)
+        shapes = [(*lead, 5, 6), (6, 8), (8,), (8, 6), (6,)]
+        inputs = [Tensor(rng.standard_normal(s), dtype=dtype) for s in shapes]
+        out, grads, g = _value_and_grads(lambda x, *ws: feedforward(x, ws), inputs, 31)
+        expected = _unfused_feedforward(*(t.data for t in inputs), g)
+        for got, want in zip([out, *grads], expected):
+            assert got.dtype == dtype and want.dtype == dtype
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("slot", range(5), ids=["x", "w1", "b1", "w2", "b2"])
+    def test_stacked_weights_gradient_matches_finite_differences(self, slot):
+        # the end-to-end gradcheck's forwards pass (n, D, M) weights and (n, 1, M) biases
+        rng = np.random.default_rng(32)
+        args = [t64(rng.standard_normal(s)) for s in
+                [(2, 3, 4), (2, 4, 5), (2, 1, 5), (2, 5, 4), (2, 1, 4)]]
+        w = t64(rng.standard_normal((2, 3, 4)))
+
+        def loss(t):
+            a = args[:slot] + [t] + args[slot + 1:]
+            return sum_all(mul(feedforward(a[0], a[1:]), w))
+
+        assert finite_diff_check(loss, args[slot]) < 1e-5
+
+    def test_one_tape_record_and_inputs_untouched(self):
+        rng = np.random.default_rng(33)
+        inputs = [t64(rng.standard_normal(s)) for s in [(4, 3), (3, 5), (5,), (5, 3), (3,)]]
+        before = [t.data.copy() for t in inputs]
+        inputs[0].requires_grad = True
+        with Tape() as tape:
+            out = feedforward(inputs[0], inputs[1:])
+            assert len(tape) == 1
+            tape.backward(sum_all(out))
+        assert all(np.array_equal(t.data, b) for t, b in zip(inputs, before))
 
 
 class TestCrossEntropy:
@@ -365,7 +470,7 @@ class TestBackward:
             tape.backward(sum_all(mul(add(s, a), t64([1.0, 10.0]))))
         assert np.array_equal(a.grad, [2.0, 20.0])
         assert np.array_equal(b.grad, [1.0, 10.0])
-        assert np.array_equal(s.grad, [1.0, 10.0])
+        assert s.grad is None  # an intermediate's gradient is freed once its rule has run
 
     @pytest.mark.parametrize("a_shape", [(2, 3), ()])
     def test_0d_addend_gradient_is_a_0d_array(self, a_shape):
@@ -404,6 +509,24 @@ class TestBackward:
         loss = sum_all(t64([1.0]))
         with pytest.raises(TapeError):
             Tape().backward(loss)
+
+    def test_backward_frees_records_and_keeps_leaf_gradients(self):
+        x = t64([0.5, -1.0, 2.0], requires_grad=True)
+        unreached = t64([3.0], requires_grad=True)
+        with Tape() as tape:
+            s = mul(x, x)
+            probs = softmax(s)
+            buffer = weakref.ref(probs.data)  # held by softmax's rule and the next mul's
+            loss = sum_all(mul(probs, t64([1.0, 2.0, 3.0])))
+            del probs
+            sum_all(unreached)  # recorded, but the loss does not read it
+            tape.backward(loss)
+        assert buffer() is None
+        assert tape._records == []
+        assert len(tape) == 5
+        assert np.array_equal(x.data, [0.5, -1.0, 2.0]) and x.grad.shape == (3,)
+        assert s.grad is None and loss.grad is None
+        assert np.array_equal(unreached.grad, [0.0])
 
     def test_grads_accumulate_until_zeroed(self):
         x = t64([1.0], requires_grad=True)
@@ -471,7 +594,6 @@ def _probe_ops(rng):
         ("softmax", lambda t: sum_all(mul(softmax(t), w)), rt(rows, cols)),
         ("layer_norm", lambda t: sum_all(mul(layer_norm(t, g, bvec), w_ln)),
          rt(rows, ln_cols)),
-        ("gelu", lambda t: sum_all(mul(gelu(t), w)), rt(rows, cols)),
         ("cross_entropy", lambda t: cross_entropy(t, label), rt(cols)),
     ]
     # the stacked forms draw last, so every 2-D probe keeps its inputs
@@ -504,12 +626,23 @@ def _probe_ops(rng):
     # the broadcast-row forms, one (1, D) row per slice, draw after all of those
     x_ln3 = rt(batch, rows, ln_cols)
     w_ln3 = rt(batch, rows, ln_cols)
-    return probes + [
+    probes += [
         ("add.rows", lambda t: sum_all(mul(add(x3, t), w3)), rt(batch, 1, cols)),
         ("layer_norm.gamma.rows", lambda t: sum_all(mul(layer_norm(x_ln3, t, bvec), w_ln3)),
          rt(batch, 1, ln_cols)),
         ("layer_norm.beta.rows", lambda t: sum_all(mul(layer_norm(x_ln3, g, t), w_ln3)),
          rt(batch, 1, ln_cols)),
+    ]
+    # feedforward draws last of all, with a hidden width of its own. w1 is scaled as
+    # an initialised layer's is, so h stays near unit scale: a GELU saturated at h < -5
+    # has a slope below what central differences resolve against the probe's loss
+    hid = int(rng.integers(1, 17))
+    ff = [t64(rng.standard_normal((cols, hid)) / np.sqrt(cols)), rt(hid), rt(hid, cols), rt(cols)]
+    x_ff = rt(rows, cols)
+    return probes + [
+        ("feedforward.x", lambda t: sum_all(mul(feedforward(t, ff), w)), rt(rows, cols)),
+        ("feedforward.b1", lambda t: sum_all(mul(feedforward(x_ff, [ff[0], t, *ff[2:]]), w)),
+         rt(hid)),
     ]
 
 
@@ -565,10 +698,24 @@ def _vector_valued(x):
      "layer_norm affine shapes (4,)/(3,) do not match D=4"),
     (lambda: layer_norm(t64(np.zeros((6, 4))), t64(np.ones((2, 1, 4))), t64(np.zeros(4))),
      ShapeError, "layer_norm affine shapes (2, 1, 4)/(4,) do not match D=4"),
+    (lambda: layer_norm(t64(np.zeros((2, 4))), Tensor(np.ones(4)), t64(np.zeros(4))),
+     ShapeError, "layer_norm takes one dtype, got ['float64', 'float32', 'float64']"),
     (lambda: softmax(t64(1.0)), ShapeError, "softmax of an empty tensor"),
     (lambda: attention(t64(np.zeros((3, 4))), [t64(np.zeros((4, 4)))] * 3
                        + [t64(np.zeros((4, 5)))], 2), ShapeError,
      "attention of (3, 4) with weights [(4, 4), (4, 4), (4, 4), (4, 5)]"),
+    (lambda: feedforward(t64(np.zeros((3, 4))), [t64(np.zeros((4, 5)))] * 3), ShapeError,
+     "feedforward takes 4 weights, got 3"),
+    (lambda: feedforward(t64(np.zeros((3, 4))), [t64(np.zeros((4, 5))), t64(np.zeros(5)),
+                                                 t64(np.zeros((4, 4))), t64(np.zeros(4))]),
+     ShapeError, "matmul shape mismatch: (3, 5) x (4, 4)"),
+    (lambda: feedforward(t64(np.zeros((3, 4))), [t64(np.zeros((4, 5))), t64(np.zeros(4)),
+                                                 t64(np.zeros((5, 4))), t64(np.zeros(4))]),
+     ShapeError, "add shape mismatch: (3, 5) + (4,)"),
+    (lambda: feedforward(Tensor(np.zeros((3, 4))), [t64(np.zeros((4, 5))), t64(np.zeros(5)),
+                                                    t64(np.zeros((5, 4))), t64(np.zeros(4))]),
+     ShapeError, "feedforward takes one dtype, got "
+     "['float32', 'float64', 'float64', 'float64', 'float64']"),
     (lambda: finite_diff_check(sum_all, t64([1.0]), h=0.0), ConfigError,
      "finite difference step must be positive, got 0.0"),
     (lambda: finite_diff_check(_vector_valued, t64([1.0, 2.0])), ShapeError,
@@ -579,7 +726,8 @@ def _vector_valued(x):
      NumericError, "tensor holds non-finite values"),
 ], ids=["add", "add-grows-a", "mul", "reshape", "concat-empty", "concat-mismatch",
         "gather-index-shape", "gather-range", "layer-norm-affine", "layer-norm-affine-grows",
-        "softmax-0d", "attention-weights", "fd-step",
+        "layer-norm-dtypes", "softmax-0d", "attention-weights", "feedforward-weights",
+        "feedforward-w2", "feedforward-b1", "feedforward-dtypes", "fd-step",
         "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
@@ -607,7 +755,7 @@ def test_tape_length_counts_recorded_ops():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("op", [gelu, sum_all, lambda x: cross_entropy(x, np.array([2, 0]))],
+@pytest.mark.parametrize("op", [_gelu, sum_all, lambda x: cross_entropy(x, np.array([2, 0]))],
                          ids=["gelu", "sum_all", "cross_entropy"])
 def test_value_and_gradient_keep_the_input_dtype(op, dtype):
     x = Tensor(np.random.default_rng(3).standard_normal((2, 5)), requires_grad=True,
