@@ -6,9 +6,9 @@ coordinate is perturbed with selection indices held fixed (tolerance 1e-3,
 since hundreds of chained ops accumulate truncation error).
 
 Both share one central-difference loop that hands an evaluator chunks of
-+h/-h copies: ``finite_diff_check`` evaluates them one at a time, the
-end-to-end check every parameter's copies, vectors included, as one stacked
-forward.
++h/-h copies: each op probe evaluates its copies as one call of its op on
+their stack, the end-to-end check every parameter's copies, vectors
+included, as one stacked forward.
 """
 
 from __future__ import annotations
@@ -52,13 +52,16 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5) -> float:
+def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
+                      values: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Worst relative error between the tape gradient of f and central differences.
 
     ``f`` must map one tensor to a scalar tensor and be deterministic; this is
     verified by evaluating it twice and requiring bit-identical results.
     Relative error per coordinate uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator.
+    denominator. ``values``, if given, evaluates a stack of ±h copies of ``x``
+    as ``_central_difference`` hands it over, and must give ``f``'s value for
+    each copy; by default ``f`` runs on one copy at a time.
     """
     if not h > 0:
         raise ConfigError(f"finite difference step must be positive, got {h}")
@@ -81,9 +84,8 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5)
         tape.backward(out)
     analytic = leaf.grad.ravel() if leaf.grad is not None else np.zeros(base.size)
     # copies[i, ...] is an array even for a 0-d input, where copies[i] is a numpy scalar
-    return _central_difference(lambda copies: [eval_value(copies[i, ...])
-                                               for i in range(len(copies))],
-                               base, analytic, h)
+    values = values or (lambda copies: [eval_value(copies[i, ...]) for i in range(len(copies))])
+    return _central_difference(values, base, analytic, h)
 
 
 def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]],
@@ -94,7 +96,8 @@ def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]]
     For each chunk of at most ``FD_CHUNK`` coordinates, ``values`` gets a
     ``(2m, *base.shape)`` stack of copies of ``base``, copy 2j moved by +h
     and copy 2j+1 by -h at the chunk's coordinate j, and returns their 2m
-    values; ``base`` itself is never written. A NaN error makes the result NaN.
+    values, or an OracleError is raised; ``base`` itself is never written. A
+    NaN error makes the result NaN.
     """
     flat = base.ravel()
     worst = 0.0
@@ -105,7 +108,9 @@ def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]]
         moved = copies.reshape(len(copies), -1)
         moved[2 * j, idx] = flat[idx] + h
         moved[2 * j + 1, idx] = flat[idx] - h
-        v = np.asarray(values(copies), dtype=np.float64)
+        v = np.asarray(values(copies), dtype=np.float64).ravel()
+        if v.size != len(copies):
+            raise OracleError(f"evaluator returned {v.size} values for {len(copies)} copies")
         numeric = (v[0::2] - v[1::2]) / (2.0 * h)
         a = analytic[idx]
         denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
@@ -119,7 +124,8 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
 
     Each probe draws its input ``x``, then a weight ``w`` shaped like the op's
     output, and checks ``sum_all(mul(op(x), w))``; the random weighting makes
-    constant-sum outputs still exercise their gradients.
+    constant-sum outputs still exercise their gradients. Each op is written
+    once, as ``op(x, lift)``, for one ``x`` and for a stack of its copies.
     """
     rng = _rng(seed)
     a6x4, b4x5, a2x6x4 = _t(rng, 6, 4), _t(rng, 4, 5), _t(rng, 2, 6, 4)
@@ -127,43 +133,46 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     a4x2x3 = T.reshape(a6x4, (4, 2, 3))
     a3x4, att = _t(rng, 3, 4), [_t(rng, 4, 4) for _ in range(4)]  # 2 heads, dh=2: scale != 1
 
-    # (name, op of x, shape of x); each lambda looks its op up in ``T`` when
-    # called, so a replaced op is what gets checked
+    # (name, op of x and lift, shape of x[, lead]); each lambda looks its op up
+    # in ``T`` when called, so a replaced op is what gets checked
     probes = [
-        ("matmul.a", lambda x: T.matmul(x, b4x5), (6, 4)),
-        ("matmul.b", lambda x: T.matmul(a6x4, x), (4, 5)),
-        ("add.same", lambda x: T.add(x, a6x4), (6, 4)),
-        ("add.bias", lambda x: T.add(a6x4, x), (4,)),
-        ("mul", lambda x: T.mul(x, a6x4), (6, 4)),
-        ("scale", lambda x: T.scale(x, -2.5), (6, 4)),
-        ("reshape", lambda x: T.reshape(x, (8, 3)), (6, 4)),
-        ("concat_rows", lambda x: T.concat_rows([x, a6x4]), (6, 4)),
-        ("matmul.batched", lambda x: T.matmul(x, a4x2x3), (4, 3, 2)),
-        ("gather_rows", lambda x: T.gather_rows(x, [0, 2, 2, 5]), (6, 4)),
-        ("softmax.vec", lambda x: T.softmax(x), (7,)),
-        ("softmax.rows", lambda x: T.softmax(x), (5, 5)),
-        ("layer_norm.x", lambda x: T.layer_norm(x, gamma, beta), (6, 4)),
-        ("layer_norm.gamma", lambda x: T.layer_norm(a6x4, x, beta), (4,)),
-        ("layer_norm.beta", lambda x: T.layer_norm(a6x4, gamma, x), (4,)),
+        ("matmul.a", lambda x, lift: T.matmul(x, b4x5), (6, 4)),
+        ("matmul.b", lambda x, lift: T.matmul(lift(a6x4), x), (4, 5)),
+        ("add.same", lambda x, lift: T.add(x, a6x4), (6, 4)),
+        ("add.bias", lambda x, lift: T.add(lift(a6x4), x), (4,), (1,)),
+        ("mul", lambda x, lift: T.mul(x, lift(a6x4)), (6, 4)),
+        ("scale", lambda x, lift: T.scale(x, -2.5), (6, 4)),
+        ("reshape", lambda x, lift: T.reshape(x, x.shape[:-2] + (8, 3)), (6, 4)),
+        ("concat_rows", lambda x, lift: T.concat_rows([x, lift(a6x4)]), (6, 4)),
+        ("matmul.batched", lambda x, lift: T.matmul(x, lift(a4x2x3)), (4, 3, 2)),
+        ("gather_rows", lambda x, lift: T.gather_rows(x, lift([0, 2, 2, 5])), (6, 4)),
+        ("softmax.vec", lambda x, lift: T.softmax(x), (7,)),
+        ("softmax.rows", lambda x, lift: T.softmax(x), (5, 5)),
+        ("layer_norm.x", lambda x, lift: T.layer_norm(x, gamma, beta), (6, 4)),
+        ("layer_norm.gamma", lambda x, lift: T.layer_norm(lift(a6x4), x, beta), (4,), (1,)),
+        ("layer_norm.beta", lambda x, lift: T.layer_norm(lift(a6x4), gamma, x), (4,), (1,)),
     ]
     later = [
-        ("sum_all", lambda x: T.sum_all(x), (6, 4)),
-        ("cross_entropy", lambda x: T.cross_entropy(x, 3), (7,)),
-        ("softmax_cross_entropy", lambda x: T.cross_entropy(T.softmax(x), 2), (7,)),
-        ("matmul.shared.a", lambda x: T.matmul(x, b4x5), (2, 6, 4)),
-        ("matmul.shared.b", lambda x: T.matmul(a2x6x4, x), (4, 5)),
-        ("add.suffix", lambda x: T.add(a2x6x4, x), (6, 4)),
-        ("concat_rows.stack", lambda x: T.concat_rows([x, a2x6x4]), (2, 6, 4)),
-        ("gather_rows.stack", lambda x: T.gather_rows(x, [[0, 2, 2], [5, 1, 0]]), (2, 6, 4)),
-        ("cross_entropy.batched", lambda x: T.cross_entropy(x, np.array([3, 0])), (2, 7)),
-        ("add.rows", lambda x: T.add(a2x6x4, x), (2, 1, 4)),
-        ("layer_norm.gamma.rows", lambda x: T.layer_norm(a2x6x4, x, beta), (2, 1, 4)),
-        ("layer_norm.beta.rows", lambda x: T.layer_norm(a2x6x4, gamma, x), (2, 1, 4)),
-        ("attention.x", lambda x: T.attention(x, att, 2)[0], (3, 4)),
-        ("attention.wq", lambda x: T.attention(a3x4, [x, *att[1:]], 2)[0], (4, 4)),
-        ("attention.wk", lambda x: T.attention(a3x4, [att[0], x, *att[2:]], 2)[0], (4, 4)),
-        ("attention.wv", lambda x: T.attention(a3x4, [*att[:2], x, att[3]], 2)[0], (4, 4)),
-        ("attention.wo", lambda x: T.attention(a3x4, [*att[:3], x], 2)[0], (4, 4)),
+        ("sum_all", lambda x, lift: T.sum_all(x), (6, 4), None),  # no per-copy form
+        ("cross_entropy", lambda x, lift: T.cross_entropy(x, lift(3)), (7,)),
+        ("softmax_cross_entropy", lambda x, lift: T.cross_entropy(T.softmax(x), lift(2)), (7,)),
+        ("matmul.shared.a", lambda x, lift: T.matmul(x, b4x5), (2, 6, 4)),
+        ("matmul.shared.b", lambda x, lift: T.matmul(lift(a2x6x4), x), (4, 5), (2,)),
+        ("add.suffix", lambda x, lift: T.add(lift(a2x6x4), x), (6, 4), (1,)),
+        ("concat_rows.stack", lambda x, lift: T.concat_rows([x, lift(a2x6x4)]), (2, 6, 4)),
+        ("gather_rows.stack",
+         lambda x, lift: T.gather_rows(x, lift([[0, 2, 2], [5, 1, 0]])), (2, 6, 4)),
+        ("cross_entropy.batched", lambda x, lift: T.cross_entropy(x, lift([3, 0])), (2, 7)),
+        ("add.rows", lambda x, lift: T.add(lift(a2x6x4), x), (2, 1, 4)),
+        ("layer_norm.gamma.rows", lambda x, lift: T.layer_norm(lift(a2x6x4), x, beta), (2, 1, 4)),
+        ("layer_norm.beta.rows", lambda x, lift: T.layer_norm(lift(a2x6x4), gamma, x), (2, 1, 4)),
+        ("attention.x", lambda x, lift: T.attention(x, att, 2)[0], (3, 4)),
+        ("attention.wq", lambda x, lift: T.attention(lift(a3x4), [x, *att[1:]], 2)[0], (4, 4)),
+        ("attention.wk",
+         lambda x, lift: T.attention(lift(a3x4), [att[0], x, *att[2:]], 2)[0], (4, 4)),
+        ("attention.wv",
+         lambda x, lift: T.attention(lift(a3x4), [*att[:2], x, att[3]], 2)[0], (4, 4)),
+        ("attention.wo", lambda x, lift: T.attention(lift(a3x4), [*att[:3], x], 2)[0], (4, 4)),
     ]
     results = [_probe(rng, *p) for p in probes]
     # the 48 draws of a gelu probe that stood here, whose op feedforward took in: every
@@ -174,20 +183,43 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     # S=2, D=2 and a hidden width of 3 make every slot's shape distinct
     a2x2, ff = _t(rng, 2, 2), [_t(rng, 2, 3), _t(rng, 3), _t(rng, 3, 2), _t(rng, 2)]
     return results + [_probe(rng, *p) for p in [
-        ("feedforward.x", lambda x: T.feedforward(x, ff), (2, 2)),
-        ("feedforward.w1", lambda x: T.feedforward(a2x2, [x, *ff[1:]]), (2, 3)),
-        ("feedforward.b1", lambda x: T.feedforward(a2x2, [ff[0], x, *ff[2:]]), (3,)),
-        ("feedforward.w2", lambda x: T.feedforward(a2x2, [*ff[:2], x, ff[3]]), (3, 2)),
-        ("feedforward.b2", lambda x: T.feedforward(a2x2, [*ff[:3], x]), (2,)),
+        ("feedforward.x", lambda x, lift: T.feedforward(x, ff), (2, 2)),
+        ("feedforward.w1", lambda x, lift: T.feedforward(lift(a2x2), [x, *ff[1:]]), (2, 3)),
+        ("feedforward.b1",
+         lambda x, lift: T.feedforward(lift(a2x2), [ff[0], x, *ff[2:]]), (3,), (1,)),
+        ("feedforward.w2",
+         lambda x, lift: T.feedforward(lift(a2x2), [*ff[:2], x, ff[3]]), (3, 2)),
+        ("feedforward.b2", lambda x, lift: T.feedforward(lift(a2x2), [*ff[:3], x]), (2,), (1,)),
     ]]
 
 
-def _probe(rng: np.random.Generator, name: str, op: Callable[[Tensor], Tensor],
-           shape: tuple[int, ...]) -> CheckResult:
-    """One probe of ``op_checks``: draw ``x``, then ``w``, and check ``op``."""
+def _probe(rng: np.random.Generator, name: str, op: Callable[..., Tensor],
+           shape: tuple[int, ...], lead: tuple[int, ...] | None = ()) -> CheckResult:
+    """One probe of ``op_checks``: draw ``x``, then ``w``, and check ``op``.
+
+    ``op(x, lift)`` with ``lift`` the identity gives the determinism check and
+    the tape gradient. The ±h copies go through one call on their stack, each
+    broadcast onto ``(*lead, *shape)`` (``(1,)`` makes a bias's copies rows),
+    with ``lift`` putting fixed tensors and index or label arrays onto the
+    copies' axis. Copy i's value ``(y_i * w).sum()`` has the bits of
+    ``sum_all(mul(y_i, w))``. ``lead=None`` runs one copy at a time.
+    """
     x = _t(rng, *shape)
-    w = _t(rng, *op(x).shape)
-    err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v), w)), x, h=1e-5)
+    w = _t(rng, *op(x, lambda v: v).shape)
+
+    def values(copies: np.ndarray) -> np.ndarray:
+        n = len(copies)
+
+        def lift(v):
+            return (Tensor._wrap(lift(v.data)) if isinstance(v, Tensor)
+                    else np.broadcast_to(v, (n, *np.shape(v))))
+
+        xs = np.broadcast_to(copies.reshape(n, *[1] * len(lead), *shape), (n, *lead, *shape))
+        y = op(Tensor._wrap(xs), lift).data
+        return (y.reshape(n, -1) * w.data.ravel()).sum(axis=1)
+
+    err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v, lambda u: u), w)), x, h=1e-5,
+                            values=None if lead is None else values)
     return CheckResult(name, err, OP_TOL)
 
 

@@ -1,8 +1,8 @@
-"""The central-difference loop and the stacked end-to-end gradcheck.
+"""The central-difference loop and the stacked gradchecks, per op and end to end.
 
-No float is pinned here: the BLAS kernel decides the last bits, so the
-stacked forwards are compared against one-image forwards on whatever kernel
-runs the tests.
+No float is pinned here: the BLAS kernel decides the last bits, so each
+probe's stacked call and each stacked forward are compared against one-copy
+evaluations on whatever kernel runs the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from _reference import t64
 from fusevit import encoder
 from fusevit import gradcheck
 from fusevit import tensor as T
+from fusevit.errors import OracleError
 from fusevit.gradcheck import (
     END_TO_END_H,
     FD_CHUNK,
@@ -25,6 +26,7 @@ from fusevit.gradcheck import (
     end_to_end_check,
     finite_diff_check,
     format_report,
+    op_checks,
     toy_config,
 )
 from fusevit.model import FuseVitModel
@@ -77,15 +79,54 @@ class TestCentralDifference:
         err = finite_diff_check(lambda x: T.mul(x, x), t64(3.0))
         assert err < 1e-8
 
+    @pytest.mark.parametrize("values, count", [
+        (lambda copies: T.sum_all(Tensor._wrap(copies)).data, 1),  # sums across the copies
+        (lambda copies: copies.reshape(len(copies), -1), 18),  # one value per coordinate
+    ], ids=["reduced", "per-coordinate"])
+    def test_evaluator_count_is_checked(self, values, count):
+        base = np.arange(3, dtype=np.float64)
+        with pytest.raises(OracleError, match=f"^evaluator returned {count} values for 6 copies$"):
+            _central_difference(values, base, np.ones(3), 0.25)
+        with pytest.raises(OracleError, match="for 6 copies"):
+            finite_diff_check(T.sum_all, t64(base), values=values)
 
-def plus_minus_copies(base):
+
+def plus_minus_copies(base, h=END_TO_END_H):
     """Copy 2j of ``base`` moved by +h at coordinate j, copy 2j+1 by -h."""
     copies = np.repeat(base[None], 2 * base.size, axis=0)
     moved = copies.reshape(len(copies), -1)
     coords = np.arange(base.size)
-    moved[2 * coords, coords] += END_TO_END_H
-    moved[2 * coords + 1, coords] -= END_TO_END_H
+    moved[2 * coords, coords] += h
+    moved[2 * coords + 1, coords] -= h
     return copies
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_stacked_probe_values_equal_one_copy_values(monkeypatch, seed):
+    # every probe's evaluator, as the loop gets it, for the first 1 and all
+    # coordinates, against the probe's single form run on one copy at a time:
+    # float(sum_all(mul(op(x_i), w)))
+    single_forms, compared = [], []
+    real_check, real_loop = gradcheck.finite_diff_check, gradcheck._central_difference
+
+    def check_spy(f, x, h=1e-5, values=None):
+        single_forms.append(f)
+        return real_check(f, x, h, values)
+
+    def loop_spy(values, base, analytic, h):
+        f = single_forms[-1]
+        for m in (1, base.size):
+            copies = plus_minus_copies(base, h)[:2 * m]
+            one_at_a_time = [float(f(Tensor._wrap(c)).data) for c in copies]
+            compared.append(np.array_equal(np.asarray(values(copies)), one_at_a_time))
+        return real_loop(values, base, analytic, h)
+
+    monkeypatch.setattr(gradcheck, "finite_diff_check", check_spy)
+    monkeypatch.setattr(gradcheck, "_central_difference", loop_spy)
+    names = [r.name for r in op_checks(seed)]
+    assert len(single_forms) == len(names) == 37
+    assert compared == [True] * 2 * len(names), [
+        name for name, ok in zip(names, zip(compared[::2], compared[1::2])) if not all(ok)]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -152,3 +193,19 @@ def test_sign_flipped_gelu_backward_detected(monkeypatch):
     # a matrix (mlp.w1) and a vector (mlp.b1) behind the flipped slope both fail
     assert {"end_to_end.layer.1.mlp.w1", "end_to_end.layer.1.mlp.b1"} <= failed
     assert not {"end_to_end.head.0.w", "end_to_end.head.0.b"} & failed
+
+
+def test_negated_layer_norm_gamma_partial_detected(monkeypatch):
+    # layer_norm's own value, with gamma's partial negated on the tape: both
+    # gamma probes, a vector and a stack of rows whose copies meet a lifted
+    # a6x4 or a2x6x4, must fail; the x and beta probes must not
+    real = T.layer_norm
+
+    def negated_gamma(v, gamma, beta):
+        flipped = _finish(Tensor._wrap(gamma.data), (gamma,), lambda g: (-g,))
+        return real(v, flipped, beta)
+
+    monkeypatch.setattr(T, "layer_norm", negated_gamma)
+    passed = {r.name: r.passed for r in op_checks() if r.name.startswith("layer_norm")}
+    assert passed == {"layer_norm.x": True, "layer_norm.gamma": False, "layer_norm.beta": True,
+                      "layer_norm.gamma.rows": False, "layer_norm.beta.rows": True}
