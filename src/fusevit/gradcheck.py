@@ -7,8 +7,10 @@ since hundreds of chained ops accumulate truncation error).
 
 Both share one central-difference loop that hands an evaluator chunks of
 +h/-h copies: each op probe evaluates its copies as one call of its op on
-their stack, the end-to-end check every parameter's copies, vectors
-included, as one stacked forward.
+their stack. The end-to-end check evaluates each chunk, vectors included,
+as one stacked forward; for a parameter of layer L or the head, whose
+copies leave the fused tokens unchanged, as one stacked call of layer L and
+the head over those tokens.
 """
 
 from __future__ import annotations
@@ -231,7 +233,12 @@ def toy_config() -> ModelConfig:
 
 
 def end_to_end_check(seed: int = 0) -> list[CheckResult]:
-    """Perturb every parameter coordinate of the toy model, indices frozen."""
+    """Perturb every parameter coordinate of the toy model, indices frozen.
+
+    Each chunk of a parameter's ±h copies is one stacked forward, except for
+    layer L and the head: the fused tokens are computed once, and their
+    copies run ``model._final`` over those tokens repeated once per copy.
+    """
     cfg = toy_config()
     rng = _rng(seed)
     model = FuseVitModel.build(cfg, dtype=np.float64)
@@ -241,19 +248,30 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
 
     frozen = model.forward(image).selections
 
+    def stacked_forward(n: int):
+        """One forward of ``n`` copies of the image with the frozen selections."""
+        images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
+        stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
+                                   np.broadcast_to(s.weights, (n, *s.weights.shape)))
+                   for s in frozen]
+        return model.forward(images, frozen_selections=stacked)
+
+    # no parameter of layer L or the head moves the tokens layer L reads
+    fused = stacked_forward(1).fused.tokens.data
+    late = {id(p) for p in (*model.layers[-1].values(), *model.head.values())}
+
     def losses(param: Tensor, copies: np.ndarray) -> np.ndarray:
         """The loss with each of ``copies`` in place of ``param.data``, as one
-        stacked forward. A matrix's copies are a stack of matrices; a vector's
+        stacked call. A matrix's copies are a stack of matrices; a vector's
         are ``(n, 1, d)`` rows, which broadcast over each slice's tokens."""
         n = len(copies)
         saved = param.data
         param.data = copies.reshape(n, -1, param.shape[-1])
         try:
-            images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
-            stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
-                                       np.broadcast_to(s.weights, (n, *s.weights.shape)))
-                       for s in frozen]
-            logits = model.forward(images, frozen_selections=stacked).logits
+            if id(param) in late:
+                logits = model._final(Tensor._wrap(np.repeat(fused, n, axis=0)))
+            else:
+                logits = stacked_forward(n).logits
             return T.cross_entropy(logits, np.full(n, label)).data
         finally:
             param.data = saved

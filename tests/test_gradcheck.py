@@ -167,6 +167,27 @@ def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
     assert coordinates == 1739
 
 
+def test_late_parameters_rerun_only_the_final_layer(monkeypatch):
+    # the fused tokens do not depend on layer L or the head, so each chunk of their
+    # copies is one direct _final call; the other parameters' 24 chunks, the
+    # selection and taped forwards and the one-copy forward of the fused tokens run
+    # forward, which calls _final once itself
+    calls = {"forward": 0, "_final": 0}
+
+    def counted(name):
+        real = getattr(FuseVitModel, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(FuseVitModel, name, wrapper)
+
+    counted("forward")
+    counted("_final")
+    end_to_end_check(0)
+    assert calls == {"forward": 27, "_final": 27 + 18}
+
+
 def test_end_to_end_passes_on_many_seeds():
     failed = [(seed, r.name, r.max_rel_err) for seed in range(20)
               for r in end_to_end_check(seed) if not r.passed]
@@ -190,9 +211,13 @@ def test_sign_flipped_gelu_backward_detected(monkeypatch):
 
     monkeypatch.setattr(encoder, "feedforward", flipped_feedforward)
     failed = {r.name for r in end_to_end_check() if not r.passed}
-    # a matrix (mlp.w1) and a vector (mlp.b1) behind the flipped slope both fail
-    assert {"end_to_end.layer.1.mlp.w1", "end_to_end.layer.1.mlp.b1"} <= failed
-    assert not {"end_to_end.head.0.w", "end_to_end.head.0.b"} & failed
+    # a matrix (mlp.w1) and a vector (mlp.b1) behind the flipped slope both fail, in
+    # layer 1, whose copies run the whole forward, and in layer 2, whose copies run
+    # only _final; the parameters after the slope pass
+    assert {"end_to_end.layer.1.mlp.w1", "end_to_end.layer.1.mlp.b1",
+            "end_to_end.layer.2.mlp.w1", "end_to_end.layer.2.mlp.b1"} <= failed
+    assert not {"end_to_end.layer.2.mlp.w2", "end_to_end.layer.2.mlp.b2",
+                "end_to_end.head.0.w", "end_to_end.head.0.b"} & failed
 
 
 def test_negated_layer_norm_gamma_partial_detected(monkeypatch):
