@@ -4,6 +4,7 @@ Subcommands: gen, train, eval, compare, inspect, gradcheck. Configuration preced
 defaults < JSON config file < command-line flags; every config field has a flag of the same
 name, generated from ``RunConfig``. Exit codes: 0 success, 1 usage or config error, 2 runtime
 or numeric error or out of memory, 130 interrupted; a failure prints one ``error:`` line.
+``gradcheck`` exits with its count of failed checks.
 """
 
 from __future__ import annotations

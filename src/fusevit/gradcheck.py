@@ -5,12 +5,12 @@ an end-to-end check of a tiny fused-forward model where every parameter
 coordinate is perturbed with selection indices held fixed (tolerance 1e-3,
 since hundreds of chained ops accumulate truncation error).
 
-Both share one central-difference loop that hands an evaluator chunks of
-+h/-h copies: each op probe evaluates its copies as one call of its op on
-their stack. The end-to-end check evaluates each chunk, vectors included,
-as one stacked forward; for a parameter of layer L or the head, whose
-copies leave the fused tokens unchanged, as one stacked call of layer L and
-the head over those tokens.
+Both share one central-difference loop, which judges errors against the
+gradient's scale and hands an evaluator chunks of +h/-h copies: each op
+probe evaluates its copies as one call of its op on their stack. The
+end-to-end check evaluates each chunk, vectors included, as one stacked
+forward; for a parameter of layer L or the head, whose copies leave the
+fused tokens unchanged, as one stacked call of layer L and the head over them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .tensor import Tape, Tensor
 
 OP_TOL = 1e-5
 END_TO_END_TOL = 1e-3
+SCALE_FLOOR = 1e-2  # least error denominator, as a fraction of the largest |analytic| coordinate
 END_TO_END_H = 3e-5  # central-difference step of the end-to-end check
 FD_CHUNK = 64  # coordinates per batch of copies; whole-parameter stacks cost memory and time
 
@@ -60,9 +61,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
 
     ``f`` must map one tensor to a scalar tensor and be deterministic; this is
     verified by evaluating it twice and requiring bit-identical results.
-    Relative error per coordinate uses max(|analytic|, |numeric|, 1e-8) as the
-    denominator. ``values``, if given, evaluates a stack of ±h copies of ``x``
-    as ``_central_difference`` hands it over, and must give ``f``'s value for
+    Each coordinate's error is measured as in ``_central_difference``.
+    ``values``, if given, evaluates a stack of ±h copies of ``x`` as
+    ``_central_difference`` hands it over, and must give ``f``'s value for
     each copy; by default ``f`` runs on one copy at a time.
     """
     if not h > 0:
@@ -98,10 +99,15 @@ def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]]
     For each chunk of at most ``FD_CHUNK`` coordinates, ``values`` gets a
     ``(2m, *base.shape)`` stack of copies of ``base``, copy 2j moved by +h
     and copy 2j+1 by -h at the chunk's coordinate j, and returns their 2m
-    values, or an OracleError is raised; ``base`` itself is never written. A
-    NaN error makes the result NaN.
+    values, or an OracleError is raised; ``base`` itself is never written.
+    Coordinate i's error is |a_i - n_i| / max(|a_i|, |n_i|, floor), with
+    floor = max(1e-8, SCALE_FLOOR * max|analytic|) over the whole input:
+    central differences carry rounding (~eps·|f|/h) and truncation (~h²)
+    error on the function's scale, so a coordinate far below the largest
+    is judged against that scale. A NaN makes the result NaN.
     """
     flat = base.ravel()
+    floor = np.maximum(1e-8, SCALE_FLOOR * np.abs(analytic).max(initial=0.0))
     worst = 0.0
     for start in range(0, flat.size, FD_CHUNK):
         idx = np.arange(start, min(start + FD_CHUNK, flat.size))
@@ -115,7 +121,7 @@ def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]]
             raise OracleError(f"evaluator returned {v.size} values for {len(copies)} copies")
         numeric = (v[0::2] - v[1::2]) / (2.0 * h)
         a = analytic[idx]
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), 1e-8)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(numeric)), floor)
         # np.maximum keeps a NaN, where Python's max(0.0, nan) drops it
         worst = np.maximum(worst, (np.abs(a - numeric) / denom).max())
     return float(worst)
@@ -124,7 +130,8 @@ def _central_difference(values: Callable[[np.ndarray], np.ndarray | list[float]]
 def op_checks(seed: int = 0) -> list[CheckResult]:
     """One finite-difference probe per differentiable op and input slot.
 
-    Each probe draws its input ``x``, then a weight ``w`` shaped like the op's
+    The fixed inputs the probes share draw first. Then each probe, in table
+    order, draws its input ``x`` and a weight ``w`` shaped like the op's
     output, and checks ``sum_all(mul(op(x), w))``; the random weighting makes
     constant-sum outputs still exercise their gradients. Each op is written
     once, as ``op(x, lift)``, for one ``x`` and for a stack of its copies.
@@ -134,6 +141,8 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
     gamma, beta = _t(rng, 4), _t(rng, 4)
     a4x2x3 = T.reshape(a6x4, (4, 2, 3))
     a3x4, att = _t(rng, 3, 4), [_t(rng, 4, 4) for _ in range(4)]  # 2 heads, dh=2: scale != 1
+    # S=2, D=2 and a hidden width of 3 make every feedforward slot's shape distinct
+    a2x2, ff = _t(rng, 2, 2), [_t(rng, 2, 3), _t(rng, 3), _t(rng, 3, 2), _t(rng, 2)]
 
     # (name, op of x and lift, shape of x[, lead]); each lambda looks its op up
     # in ``T`` when called, so a replaced op is what gets checked
@@ -153,8 +162,6 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("layer_norm.x", lambda x, lift: T.layer_norm(x, gamma, beta), (6, 4)),
         ("layer_norm.gamma", lambda x, lift: T.layer_norm(lift(a6x4), x, beta), (4,), (1,)),
         ("layer_norm.beta", lambda x, lift: T.layer_norm(lift(a6x4), gamma, x), (4,), (1,)),
-    ]
-    later = [
         ("sum_all", lambda x, lift: T.sum_all(x), (6, 4), None),  # no per-copy form
         ("cross_entropy", lambda x, lift: T.cross_entropy(x, lift(3)), (7,)),
         ("softmax_cross_entropy", lambda x, lift: T.cross_entropy(T.softmax(x), lift(2)), (7,)),
@@ -175,16 +182,6 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("attention.wv",
          lambda x, lift: T.attention(lift(a3x4), [*att[:2], x, att[3]], 2)[0], (4, 4)),
         ("attention.wo", lambda x, lift: T.attention(lift(a3x4), [*att[:3], x], 2)[0], (4, 4)),
-    ]
-    results = [_probe(rng, *p) for p in probes]
-    # the 48 draws of a gelu probe that stood here, whose op feedforward took in: every
-    # later probe keeps the inputs, and the report row, it had
-    rng.standard_normal(48)
-    results += [_probe(rng, *p) for p in later]
-    # feedforward's inputs draw after every probe above, for the same reason;
-    # S=2, D=2 and a hidden width of 3 make every slot's shape distinct
-    a2x2, ff = _t(rng, 2, 2), [_t(rng, 2, 3), _t(rng, 3), _t(rng, 3, 2), _t(rng, 2)]
-    return results + [_probe(rng, *p) for p in [
         ("feedforward.x", lambda x, lift: T.feedforward(x, ff), (2, 2)),
         ("feedforward.w1", lambda x, lift: T.feedforward(lift(a2x2), [x, *ff[1:]]), (2, 3)),
         ("feedforward.b1",
@@ -192,7 +189,8 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("feedforward.w2",
          lambda x, lift: T.feedforward(lift(a2x2), [*ff[:2], x, ff[3]]), (3, 2)),
         ("feedforward.b2", lambda x, lift: T.feedforward(lift(a2x2), [*ff[:3], x]), (2,), (1,)),
-    ]]
+    ]
+    return [_probe(rng, *p) for p in probes]
 
 
 def _probe(rng: np.random.Generator, name: str, op: Callable[..., Tensor],

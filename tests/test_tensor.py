@@ -633,11 +633,9 @@ def _probe_ops(rng):
         ("layer_norm.beta.rows", lambda t: sum_all(mul(layer_norm(x_ln3, g, t), w_ln3)),
          rt(batch, 1, ln_cols)),
     ]
-    # feedforward draws last of all, with a hidden width of its own. w1 is scaled as
-    # an initialised layer's is, so h stays near unit scale: a GELU saturated at h < -5
-    # has a slope below what central differences resolve against the probe's loss
+    # feedforward draws last of all, with a hidden width of its own
     hid = int(rng.integers(1, 17))
-    ff = [t64(rng.standard_normal((cols, hid)) / np.sqrt(cols)), rt(hid), rt(hid, cols), rt(cols)]
+    ff = [rt(cols, hid), rt(hid), rt(hid, cols), rt(cols)]
     x_ff = rt(rows, cols)
     return probes + [
         ("feedforward.x", lambda t: sum_all(mul(feedforward(t, ff), w)), rt(rows, cols)),
