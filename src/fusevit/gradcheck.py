@@ -157,14 +157,11 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("concat_rows", lambda x, lift: T.concat_rows([x, lift(a6x4)]), (6, 4)),
         ("matmul.batched", lambda x, lift: T.matmul(x, lift(a4x2x3)), (4, 3, 2)),
         ("gather_rows", lambda x, lift: T.gather_rows(x, lift([0, 2, 2, 5])), (6, 4)),
-        ("softmax.vec", lambda x, lift: T.softmax(x), (7,)),
-        ("softmax.rows", lambda x, lift: T.softmax(x), (5, 5)),
         ("layer_norm.x", lambda x, lift: T.layer_norm(x, gamma, beta), (6, 4)),
         ("layer_norm.gamma", lambda x, lift: T.layer_norm(lift(a6x4), x, beta), (4,), (1,)),
         ("layer_norm.beta", lambda x, lift: T.layer_norm(lift(a6x4), gamma, x), (4,), (1,)),
         ("sum_all", lambda x, lift: T.sum_all(x), (6, 4), None),  # no per-copy form
         ("cross_entropy", lambda x, lift: T.cross_entropy(x, lift(3)), (7,)),
-        ("softmax_cross_entropy", lambda x, lift: T.cross_entropy(T.softmax(x), lift(2)), (7,)),
         ("matmul.shared.a", lambda x, lift: T.matmul(x, b4x5), (2, 6, 4)),
         ("matmul.shared.b", lambda x, lift: T.matmul(lift(a2x6x4), x), (4, 5), (2,)),
         ("add.suffix", lambda x, lift: T.add(lift(a2x6x4), x), (6, 4), (1,)),

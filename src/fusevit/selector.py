@@ -23,7 +23,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, softmax
 
 
 @dataclass
@@ -49,6 +48,13 @@ def _checked(scores, k: int) -> tuple[np.ndarray, int]:
     return a, k
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, with max-subtraction; scores are detached, so no tape."""
+    m = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - m)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _top_k(ranking: np.ndarray, weights: np.ndarray, k: int) -> SelectionResult:
     # candidates are 1..N; descending ranking, ties toward the lower index
     chosen = np.argsort(-ranking[..., 1:], axis=-1, kind="stable")[..., :k] + 1
@@ -59,7 +65,7 @@ def saws(scores, k: int) -> SelectionResult:
     """Top-k tokens by the class-token row of the score matrix."""
     a, k = _checked(scores, k)
     row = a[..., 0, :]
-    return _top_k(row, softmax(Tensor._wrap(row)).data, k)
+    return _top_k(row, _softmax(row), k)
 
 
 def maws(scores, k: int) -> SelectionResult:
@@ -70,7 +76,7 @@ def maws(scores, k: int) -> SelectionResult:
     class token.
     """
     a, k = _checked(scores, k)
-    mutual = softmax(Tensor._wrap(a[..., 0, :])).data * softmax(Tensor._wrap(a[..., :, 0])).data
+    mutual = _softmax(a[..., 0, :]) * _softmax(a[..., :, 0])
     return _top_k(mutual, mutual, k)
 
 

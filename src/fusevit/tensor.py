@@ -302,23 +302,6 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _finish(out, (a,), rule)
 
 
-def softmax(v: Tensor) -> Tensor:
-    """Row-wise softmax over the last axis, computed with max-subtraction."""
-    x = v.data
-    if x.ndim == 0 or x.size == 0:
-        raise ShapeError("softmax of an empty tensor")
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor._wrap(y)
-
-    def rule(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _finish(out, (v,), rule)
-
-
 def attention(x: Tensor, weights: Sequence[Tensor], heads: int):
     """Multi-head self-attention of ``x``, ``(S, D)`` or a stack ``(..., S, D)``, as one
     record; ``weights`` are ``(wq, wk, wv, wo)``, each ``(D, D)`` or a stack with ``x``'s

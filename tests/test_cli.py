@@ -457,12 +457,11 @@ class TestGradcheckCommand:
         assert [r.name for r in op_checks()] == [
             "matmul.a", "matmul.b", "add.same", "add.bias", "mul", "scale",
             "reshape", "concat_rows", "matmul.batched", "gather_rows",
-            "softmax.vec", "softmax.rows", "layer_norm.x", "layer_norm.gamma",
-            "layer_norm.beta", "sum_all", "cross_entropy", "softmax_cross_entropy",
-            "matmul.shared.a", "matmul.shared.b", "add.suffix", "concat_rows.stack",
-            "gather_rows.stack", "cross_entropy.batched", "add.rows", "layer_norm.gamma.rows",
-            "layer_norm.beta.rows", "attention.x", "attention.wq", "attention.wk",
-            "attention.wv", "attention.wo", "feedforward.x", "feedforward.w1",
+            "layer_norm.x", "layer_norm.gamma", "layer_norm.beta", "sum_all",
+            "cross_entropy", "matmul.shared.a", "matmul.shared.b", "add.suffix",
+            "concat_rows.stack", "gather_rows.stack", "cross_entropy.batched", "add.rows",
+            "layer_norm.gamma.rows", "layer_norm.beta.rows", "attention.x", "attention.wq",
+            "attention.wk", "attention.wv", "attention.wo", "feedforward.x", "feedforward.w1",
             "feedforward.b1", "feedforward.w2", "feedforward.b2"]
 
     def test_report_format(self):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from _reference import encoder_block, layer_norm, t64
+from _reference import encoder_block, layer_norm, softmax, t64
 from fusevit.encoder import (
     ModelConfig,
     forward_collect,
@@ -14,7 +14,6 @@ from fusevit.encoder import (
 )
 from fusevit.errors import ConfigError, NumericError, ShapeError
 from fusevit.model import FuseVitModel
-from fusevit.tensor import softmax
 
 
 def make_layer(rng, d, mlp_dim):
@@ -163,7 +162,7 @@ class TestMsa:
         layer = make_layer(rng, 8, 16)
         z = t64(rng.standard_normal((1, 8)))
         out, scores = msa(z, layer, heads=1)
-        assert softmax(scores).data[0, 0] == 1.0
+        assert softmax(scores.data)[0, 0] == 1.0
         zn = layer_norm(z.data, layer["ln1.gamma"].data, layer["ln1.beta"].data)
         expected = z.data + (zn @ layer["wv"].data) @ layer["wo"].data
         assert np.allclose(out.data, expected, atol=1e-10)
@@ -260,7 +259,7 @@ class TestForwardCollect:
         z0, stack = self._toy(rng, layers=4)
         trace = forward_collect(z0, stack, heads=2)
         for record in trace.attention:
-            rows = softmax(record.scores).data
+            rows = softmax(record.scores.data)
             assert np.allclose(rows.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_empty_layer_list_rejected(self):

@@ -11,12 +11,50 @@ from fusevit.errors import ConfigError, ShapeError
 from fusevit.selector import (
     REGISTRY,
     SelectionResult,
+    _softmax,
     first_k,
     maws,
     saws,
     select_per_layer,
     selection_trace_lines,
 )
+
+
+class TestSoftmax:
+    def test_symmetry(self):
+        assert np.allclose(_softmax(np.array([0.0, 0.0])), [0.5, 0.5])
+
+    def test_known_values(self):
+        # frozen from direct exp/sum at 64-bit
+        out = _softmax(np.array([1.0, 2.0, 3.0, 4.0]))
+        expected = [0.03205860328008499, 0.08714431874203257,
+                    0.23688281808991013, 0.6439142598879724]
+        assert np.allclose(out, expected, atol=1e-12)
+
+    def test_shift_invariance(self):
+        rng = np.random.default_rng(1)
+        v = rng.standard_normal(6)
+        assert np.allclose(_softmax(v), _softmax(v + 123.456), atol=1e-6)
+
+    def test_outputs_positive_and_normalized(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            v = rng.standard_normal(rng.integers(1, 12))
+            out = _softmax(v)
+            assert (out > 0).all()
+            assert abs(out.sum() - 1.0) < 1e-6
+            assert np.argmax(out) == np.argmax(v)
+
+    def test_large_inputs_stay_stable(self):
+        assert np.isfinite(_softmax(np.array([1000.0, 1000.0, 999.0]))).all()
+
+    def test_stack_rows_and_columns_equal_each_matrix(self):
+        # the selectors softmax strided views of a (B, S, S) stack: row 0 and column 0
+        a = np.random.default_rng(3).standard_normal((4, 9, 9)) * 3
+        row, col = _softmax(a[..., 0, :]), _softmax(a[..., :, 0])
+        for i in range(4):
+            assert np.array_equal(row[i], _softmax(a[i, 0, :]))
+            assert np.array_equal(col[i], _softmax(a[i, :, 0]))
 
 
 class TestSaws:

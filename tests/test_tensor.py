@@ -1,6 +1,7 @@
 """Tensor engine: op semantics, backward rules, and the FD oracle."""
 
 import inspect
+import re
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.special import erf
 
 import _reference as ref
 from _reference import t64
+from fusevit import encoder, model, train
 from fusevit import tensor as T
 from fusevit.encoder import ModelConfig
 from fusevit.errors import ConfigError, NumericError, OracleError, ShapeError, TapeError
@@ -27,7 +29,6 @@ from fusevit.tensor import (
     matmul,
     mul,
     reshape,
-    softmax,
     sum_all,
 )
 
@@ -185,50 +186,26 @@ class TestAttention:
         assert not scores.requires_grad
 
 
+def _recording_ops() -> set[str]:
+    """The public functions of ``fusevit.tensor`` that record through ``_finish``."""
+    return {name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__
+            and not name.startswith("_") and "_finish" in fn.__code__.co_names}
+
+
 def test_every_recording_op_has_a_named_probe():
-    recording = {name for name, fn in vars(T).items()
-                 if inspect.isfunction(fn) and fn.__module__ == T.__name__
-                 and not name.startswith("_") and "_finish" in fn.__code__.co_names}
+    recording = _recording_ops()
     probed = {r.name.split(".")[0] for r in op_checks()}
     assert "attention" in recording and "matmul" in recording
     assert sorted(recording - probed) == []
 
 
-class TestSoftmax:
-    def test_symmetry(self):
-        out = softmax(t64([0.0, 0.0])).data
-        assert np.allclose(out, [0.5, 0.5])
-
-    def test_known_values(self):
-        # frozen from direct exp/sum at 64-bit
-        out = softmax(t64([1.0, 2.0, 3.0, 4.0])).data
-        expected = [0.03205860328008499, 0.08714431874203257,
-                    0.23688281808991013, 0.6439142598879724]
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_shift_invariance(self):
-        rng = np.random.default_rng(1)
-        v = rng.standard_normal(6)
-        a = softmax(t64(v)).data
-        b = softmax(t64(v + 123.456)).data
-        assert np.allclose(a, b, atol=1e-6)
-
-    def test_outputs_positive_and_normalized(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            v = rng.standard_normal(rng.integers(1, 12))
-            out = softmax(t64(v)).data
-            assert (out > 0).all()
-            assert abs(out.sum() - 1.0) < 1e-6
-            assert np.argmax(out) == np.argmax(v)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ShapeError):
-            softmax(t64(np.zeros(0)))
-
-    def test_large_inputs_stay_stable(self):
-        out = softmax(t64([1000.0, 1000.0, 999.0])).data
-        assert np.isfinite(out).all()
+def test_every_recording_op_is_called_by_the_model():
+    # the tape keeps only what the model differentiates; mul is exempt, as the
+    # weight in every probe's loss sum_all(mul(op(x), w))
+    source = "".join(inspect.getsource(m) for m in (encoder, model, train))
+    uncalled = {op for op in _recording_ops() if not re.search(rf"\b{op}\(", source)}
+    assert sorted(uncalled - {"mul"}) == []
 
 
 def _value_and_grads(op, inputs, seed):
@@ -434,7 +411,7 @@ class TestCrossEntropy:
         x = t64([1.0, 2.0, 3.0], requires_grad=True)
         with Tape() as tape:
             tape.backward(cross_entropy(x, 1))
-        probs = softmax(t64([1.0, 2.0, 3.0])).data
+        probs = ref.softmax([1.0, 2.0, 3.0])
         expected = probs.copy()
         expected[1] -= 1.0
         assert np.allclose(x.grad, expected, atol=1e-12)
@@ -447,12 +424,6 @@ class TestBackward:
             y = mul(reshape(x, (1,)), reshape(x, (1,)))
             tape.backward(sum_all(y))
         assert np.allclose(x.grad, 6.0)
-
-    def test_constant_function_zero_gradient(self):
-        x = t64([0.3, -1.2, 0.7], requires_grad=True)
-        with Tape() as tape:
-            tape.backward(sum_all(softmax(x)))
-        assert np.abs(x.grad).max() < 1e-12
 
     def test_fanout_accumulates(self):
         x = t64([2.0], requires_grad=True)
@@ -515,13 +486,15 @@ class TestBackward:
         unreached = t64([3.0], requires_grad=True)
         with Tape() as tape:
             s = mul(x, x)
-            probs = softmax(s)
-            buffer = weakref.ref(probs.data)  # held by softmax's rule and the next mul's
-            loss = sum_all(mul(probs, t64([1.0, 2.0, 3.0])))
-            del probs
+            normed = layer_norm(s, t64([1.0, 2.0, 3.0]), t64([0.5, 0.0, -0.5]))
+            # layer_norm's rule holds xhat; the next mul's rule holds the output
+            xhat = inspect.getclosurevars(tape._records[-1][2]).nonlocals["xhat"]
+            buffers = [weakref.ref(xhat), weakref.ref(normed.data)]
+            loss = sum_all(mul(normed, t64([1.0, 2.0, 3.0])))
+            del normed, xhat
             sum_all(unreached)  # recorded, but the loss does not read it
             tape.backward(loss)
-        assert buffer() is None
+        assert [buffer() for buffer in buffers] == [None, None]
         assert tape._records == []
         assert len(tape) == 5
         assert np.array_equal(x.data, [0.5, -1.0, 2.0]) and x.grad.shape == (3,)
@@ -591,7 +564,6 @@ def _probe_ops(rng):
         ("matmul", lambda t: sum_all(mul(matmul(t, b), w_mm)), a),
         ("add.bias", lambda t: sum_all(mul(add(x2d, t), w)), rt(cols)),
         ("mul", lambda t: sum_all(mul(mul(t, x2d), w)), rt(rows, cols)),
-        ("softmax", lambda t: sum_all(mul(softmax(t), w)), rt(rows, cols)),
         ("layer_norm", lambda t: sum_all(mul(layer_norm(t, g, bvec), w_ln)),
          rt(rows, ln_cols)),
         ("cross_entropy", lambda t: cross_entropy(t, label), rt(cols)),
@@ -662,8 +634,9 @@ def test_forward_and_gradient_determinism():
         rng = np.random.default_rng(123)
         x = t64(rng.standard_normal((4, 4)), requires_grad=True)
         w = t64(rng.standard_normal((4, 4)))
+        gamma, beta = t64(rng.standard_normal(4)), t64(rng.standard_normal(4))
         with Tape() as tape:
-            loss = sum_all(mul(softmax(matmul(x, w)), w))
+            loss = sum_all(mul(layer_norm(matmul(x, w), gamma, beta), w))
             tape.backward(loss)
         return float(loss.data), x.grad.copy()
 
@@ -698,7 +671,6 @@ def _vector_valued(x):
      ShapeError, "layer_norm affine shapes (2, 1, 4)/(4,) do not match D=4"),
     (lambda: layer_norm(t64(np.zeros((2, 4))), Tensor(np.ones(4)), t64(np.zeros(4))),
      ShapeError, "layer_norm takes one dtype, got ['float64', 'float32', 'float64']"),
-    (lambda: softmax(t64(1.0)), ShapeError, "softmax of an empty tensor"),
     (lambda: attention(t64(np.zeros((3, 4))), [t64(np.zeros((4, 4)))] * 3
                        + [t64(np.zeros((4, 5)))], 2), ShapeError,
      "attention of (3, 4) with weights [(4, 4), (4, 4), (4, 4), (4, 5)]"),
@@ -724,7 +696,7 @@ def _vector_valued(x):
      NumericError, "tensor holds non-finite values"),
 ], ids=["add", "add-grows-a", "mul", "reshape", "concat-empty", "concat-mismatch",
         "gather-index-shape", "gather-range", "layer-norm-affine", "layer-norm-affine-grows",
-        "layer-norm-dtypes", "softmax-0d", "attention-weights", "feedforward-weights",
+        "layer-norm-dtypes", "attention-weights", "feedforward-weights",
         "feedforward-w2", "feedforward-b1", "feedforward-dtypes", "fd-step",
         "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
