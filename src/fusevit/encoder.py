@@ -1,8 +1,9 @@
 """Patch embedding, class token, and transformer encoder layers.
 
-Every layer exposes its head-averaged pre-softmax score matrix (scaled
+Layers 1..L-1 expose their head-averaged pre-softmax score matrices (scaled
 query-key dot products) so token selection can run on raw attention scores
-rather than post-softmax rows; see ``AttentionRecord``.
+rather than post-softmax rows; see ``AttentionRecord``. Layer L computes only
+the class row the head reads (``encoder_layer``).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .tensor import (
     attention,
     concat_rows,
     feedforward,
+    gather_rows,
     layer_norm,
     matmul,
     reshape,
@@ -147,11 +149,17 @@ def embed(patches: Tensor, pe: dict[str, Tensor]) -> Tensor:
     return add(tokens, pe["E_pos"])
 
 
-def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None):
+def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None,
+        queries: int | None = None):
     """Pre-norm multi-head self-attention with residual over ``z``, ``(S, D)`` or a
-    stack ``(..., S, D)``; returns ``(out, scores)``, the scores ``attention``'s."""
+    stack ``(..., S, D)``; returns ``(out, scores)``, the scores ``attention``'s.
+    With ``queries``, only the first that many rows issue queries, and ``out``
+    holds those rows only."""
     zn = layer_norm(z, layer["ln1.gamma"], layer["ln1.beta"])
-    attended, scores = attention(zn, [layer[n] for n in ("wq", "wk", "wv", "wo")], heads)
+    attended, scores = attention(zn, [layer[n] for n in ("wq", "wk", "wv", "wo")], heads,
+                                 queries)
+    if queries is not None:
+        z = gather_rows(z, np.broadcast_to(np.arange(queries), (*z.shape[:-2], queries)))
     out = add(z, attended)
     if not np.isfinite(out.data).all():
         where = f"layer {layer_index}" if layer_index is not None else "attention block"
@@ -171,9 +179,15 @@ def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | N
     return add(attended, mlp(normed, layer)), scores
 
 
-# two names, so a tracer can hook them apart: ``fusevit.encoder._block`` runs
-# layers 1..L-1 (through ``forward_collect``), ``fusevit.model.encoder_layer`` layer L
-encoder_layer = _block
+def encoder_layer(z: Tensor, layer: dict[str, Tensor], heads: int,
+                  layer_index: int | None = None) -> Tensor:
+    """The last layer, of which the head reads only the class token: ``_block``'s
+    row 0, ``(..., 1, D)``. The class row alone issues a query, against keys and
+    values from every row (CaiT's class attention), and alone goes through the
+    residual, LN2 and the MLP."""
+    attended, _ = msa(z, layer, heads, layer_index, queries=1)
+    normed = layer_norm(attended, layer["ln2.gamma"], layer["ln2.beta"])
+    return add(attended, mlp(normed, layer))
 
 
 def forward_collect(z0: Tensor, layers: list[dict[str, Tensor]], heads: int) -> EncoderTrace:

@@ -186,6 +186,13 @@ def op_checks(seed: int = 0) -> list[CheckResult]:
         ("feedforward.w2",
          lambda x, lift: T.feedforward(lift(a2x2), [*ff[:2], x, ff[3]]), (3, 2)),
         ("feedforward.b2", lambda x, lift: T.feedforward(lift(a2x2), [*ff[:3], x]), (2,), (1,)),
+        # one query row against six, as layer L runs: x's partial mixes the query row's
+        # with the k/v rows'. wq reaches the loss through one softmax row per head, which
+        # unit-scale rows often saturate, leaving a gradient below the central
+        # difference's rounding; at half scale they do not
+        ("attention.cls.x", lambda x, lift: T.attention(x, att, 2, queries=1)[0], (6, 4)),
+        ("attention.cls.wq", lambda x, lift: T.attention(
+            T.scale(lift(a6x4), 0.5), [x, *att[1:]], 2, queries=1)[0], (4, 4)),
     ]
     return [_probe(rng, *p) for p in probes]
 

@@ -4,7 +4,7 @@ The forward pass runs layers 1..L-1 over the patch sequence, selects the
 top-k tokens of every layer from its attention scores, and feeds the last
 layer a short sequence: the layer-(L-1) class token followed by each layer's
 selected tokens in layer order. The classifier reads only the class-token
-output of that last layer.
+output of that last layer, so that layer computes only that row.
 
 Selection indices are hard (non-differentiable); gradients flow through the
 gathered token values only.
@@ -193,9 +193,9 @@ class FuseVitModel:
             image = Tensor(image.data, dtype=self.dtype)
         return image
 
-    def _classify(self, final_tokens: Tensor) -> Tensor:
-        lead = final_tokens.data.shape[:-2]
-        cls_row = gather_rows(final_tokens, np.zeros((*lead, 1), dtype=np.intp))
+    def _classify(self, cls_row: Tensor) -> Tensor:
+        """The head over layer L's class row, ``(1, D)`` or ``(..., 1, D)``."""
+        lead = cls_row.data.shape[:-2]
         x = layer_norm(cls_row, self.head["ln.gamma"], self.head["ln.beta"])
         x = add(matmul(x, self.head["0.w"]), self.head["0.b"])
         return reshape(x, (*lead, self.cfg.num_classes))
@@ -208,10 +208,10 @@ class FuseVitModel:
         return forward_collect(z0, self.layers[:-1], cfg.heads)
 
     def _final(self, tokens: Tensor) -> Tensor:
-        """Layer L over ``tokens``, then the classifier head."""
+        """Layer L's class row over ``tokens``, then the classifier head."""
         cfg = self.cfg
-        out, _ = encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers)
-        return self._classify(out)
+        return self._classify(
+            encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers))
 
     def forward(self, image, frozen_selections: list[SelectionResult] | None = None
                 ) -> ForwardResult:

@@ -302,13 +302,15 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     return _finish(out, (a,), rule)
 
 
-def attention(x: Tensor, weights: Sequence[Tensor], heads: int):
+def attention(x: Tensor, weights: Sequence[Tensor], heads: int, queries: int | None = None):
     """Multi-head self-attention of ``x``, ``(S, D)`` or a stack ``(..., S, D)``, as one
     record; ``weights`` are ``(wq, wk, wv, wo)``, each ``(D, D)`` or a stack with ``x``'s
-    leading axes. Returns the merged attended values times ``wo`` and the head-averaged
-    scaled pre-softmax scores ``(..., S, S)``, detached. The heads are an axis: q and v
-    split into ``(..., heads, S, dh)`` stacks, k into ``(..., heads, dh, S)``. The softmax
-    runs in place; the rule's bits equal those of the same chain of separate ops."""
+    leading axes. Only the first ``queries`` rows (default: all S) issue queries, against
+    keys and values from every row, as in CaiT's class attention. Returns their attended
+    values times ``wo``, ``(..., queries, D)``, and the head-averaged scaled pre-softmax
+    scores ``(..., queries, S)``, detached. The heads are an axis: q and v split into
+    ``(..., heads, rows, dh)`` stacks, k into ``(..., heads, dh, S)``. The softmax runs in
+    place; the rule's bits equal those of the same chain of separate ops."""
     xd, ws = x.data, tuple(w.data for w in weights)
     sq = xd.shape[-1:] * 2
     if xd.ndim < 2 or len(ws) != 4 or any(w.shape not in (sq, xd.shape[:-2] + sq) for w in ws):
@@ -316,17 +318,21 @@ def attention(x: Tensor, weights: Sequence[Tensor], heads: int):
     (*lead, s, d), (wq, wk, wv, wo) = xd.shape, ws
     if heads < 1 or d % heads:
         raise ShapeError(f"width {d} not divisible by {heads} heads")
+    r = s if queries is None else int(queries)
+    if not 1 <= r <= s:
+        raise ShapeError(f"attention of {r} query rows from {s} rows")
     dh, c = d // heads, 1.0 / math.sqrt(d // heads)
 
-    def split(a, keys=False):  # (..., S, D) to (..., heads, S, dh), or kᵀ's (..., heads, dh, S)
-        a = a.reshape(*lead, s, heads, dh).swapaxes(-3, -2)
+    def split(a, keys=False):  # (..., n, D) to (..., heads, n, dh), or kᵀ's (..., heads, dh, n)
+        a = a.reshape(*a.shape[:-1], heads, dh).swapaxes(-3, -2)
         return np.ascontiguousarray(a.swapaxes(-2, -1) if keys else a)
 
     def join(a, keys=False):  # and back, copied: BLAS rounds a strided view differently
-        a = a.swapaxes(-2, -1) if keys else a
-        return np.ascontiguousarray(a.swapaxes(-3, -2)).reshape(*lead, s, d)
+        a = np.ascontiguousarray((a.swapaxes(-2, -1) if keys else a).swapaxes(-3, -2))
+        return a.reshape(*a.shape[:-2], d)
 
-    q, k_t, v = split(xd @ wq), split(xd @ wk, keys=True), split(xd @ wv)
+    xq = xd if r == s else np.ascontiguousarray(xd[..., :r, :])
+    q, k_t, v = split(xq @ wq), split(xd @ wk, keys=True), split(xd @ wv)
     p = q @ k_t
     p *= c
     scores = Tensor._wrap(p.sum(axis=-3) / heads)
@@ -342,11 +348,14 @@ def attention(x: Tensor, weights: Sequence[Tensor], heads: int):
         dp *= p
         dp *= c
         dq, dk_t = _matmul_grads(q, k_t, dp)
-        # x's partials add in the order a tape of separate ops replays them: v, k, q
+        # x's partials add in the order a tape of separate ops replays them: v, k, q;
+        # q's reaches only the rows that issued queries
         dxv, dwv = _matmul_grads(xd, wv, join(dv))
         dxk, dwk = _matmul_grads(xd, wk, join(dk_t, keys=True))
-        dxq, dwq = _matmul_grads(xd, wq, join(dq))
-        return dxv + dxk + dxq, dwq, dwk, dwv, dwo
+        dxq, dwq = _matmul_grads(xq, wq, join(dq))
+        dx = dxv + dxk
+        dx[..., :r, :] += dxq
+        return dx, dwq, dwk, dwv, dwo
 
     return _finish(Tensor._wrap(merged @ wo), (x, *weights), rule), scores
 

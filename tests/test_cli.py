@@ -350,8 +350,10 @@ class TestInspect:
     @pytest.mark.parametrize("names, factor, message", [
         (("layer.1.wq", "layer.1.wk"), 1e25,
          "error: non-finite values in attention output of layer 1"),
+        (("layer.2.wq", "layer.2.wk"), 1e25,
+         "error: non-finite values in attention output of layer 2"),
         (("head.ln.gamma", "head.0.w"), 1e30, "error: non-finite logits"),
-    ], ids=["attention", "head"])
+    ], ids=["attention", "attention-layer-L", "head"])
     def test_overflowing_weights_print_one_error_line(self, tmp_path, capsys, names,
                                                       factor, message):
         # pytest turns any numpy RuntimeWarning into an error
@@ -462,7 +464,8 @@ class TestGradcheckCommand:
             "concat_rows.stack", "gather_rows.stack", "cross_entropy.batched", "add.rows",
             "layer_norm.gamma.rows", "layer_norm.beta.rows", "attention.x", "attention.wq",
             "attention.wk", "attention.wv", "attention.wo", "feedforward.x", "feedforward.w1",
-            "feedforward.b1", "feedforward.w2", "feedforward.b2"]
+            "feedforward.b1", "feedforward.w2", "feedforward.b2", "attention.cls.x",
+            "attention.cls.wq"]
 
     def test_report_format(self):
         results = [CheckResult("matmul.a", 1.25e-9, 1e-5),

@@ -6,6 +6,7 @@ import pytest
 from _reference import encoder_block, layer_norm, softmax, t64
 from fusevit.encoder import (
     ModelConfig,
+    _block,
     forward_collect,
     msa,
     encoder_layer,
@@ -47,10 +48,12 @@ def overflowing_layer():
      "non-finite values in attention output of layer 3"),
     (lambda: msa(t64(np.zeros((3, 8))), overflowing_layer(), 2), NumericError,
      "non-finite values in attention output of attention block"),
+    (lambda: encoder_layer(t64(np.zeros((3, 8))), overflowing_layer(), 2, 4), NumericError,
+     "non-finite values in attention output of layer 4"),
     (lambda: FuseVitModel.build(ModelConfig(), np.float16), ConfigError,
      "model dtype must be float32 or float64, got float16"),
 ], ids=["negative-seed", "head-layers", "patch-too-large", "patchify-rank", "msa-width",
-        "msa-layer", "msa-block", "model-dtype"])
+        "msa-layer", "msa-block", "layer-L", "model-dtype"])
 def test_bad_input_raises_typed_error(call, error, message):
     with np.errstate(over="ignore"), pytest.raises(error) as info:
         call()
@@ -200,20 +203,23 @@ class TestMsa:
 
 
 class TestEncoderLayer:
+    """``_block``, the full block of layers 1..L-1, and ``encoder_layer``, layer L's
+    class row of it."""
+
     def test_zero_weights_identity(self):
         rng = np.random.default_rng(8)
         layer = make_layer(rng, 8, 16)
         for key in ("wq", "wk", "wv", "wo", "mlp.w1", "mlp.w2"):
             layer[key].data[:] = 0.0
         z = rng.standard_normal((5, 8))
-        out, _ = encoder_layer(t64(z), layer, heads=2)
+        out, _ = _block(t64(z), layer, heads=2)
         assert np.allclose(out.data, z, atol=1e-12)
 
     @pytest.mark.parametrize("s", [1, 5, 17])
     def test_shape_preserved_for_any_sequence_length(self, s):
         rng = np.random.default_rng(9)
         layer = make_layer(rng, 8, 16)
-        out, scores = encoder_layer(t64(rng.standard_normal((s, 8))), layer, heads=2)
+        out, scores = _block(t64(rng.standard_normal((s, 8))), layer, heads=2)
         assert out.shape == (s, 8)
         assert scores.shape == (s, s)
 
@@ -223,9 +229,22 @@ class TestEncoderLayer:
         d, mlp_dim = 8, 32
         layer = make_layer(rng, d, mlp_dim)
         z = rng.standard_normal((4, d))
-        out, _ = encoder_layer(t64(z), layer, heads=heads)
+        out, _ = _block(t64(z), layer, heads=heads)
         expected = encoder_block(z, layer, heads)
         assert np.allclose(out.data, expected, atol=1e-5)
+
+    # 13 rows is the desk config's fused sequence (1 + 3 layers x k=4), 17 the
+    # whole sequence that the `none` arm's layer L reads
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "stack"])
+    @pytest.mark.parametrize("rows", [13, 17])
+    def test_class_row_layer_is_row_zero_of_the_block(self, rows, lead):
+        rng = np.random.default_rng(rows)
+        layer = make_layer(rng, 8, 16)
+        z = t64(rng.standard_normal((*lead, rows, 8)))
+        full, _ = _block(z, layer, heads=2, layer_index=4)
+        out = encoder_layer(z, layer, heads=2, layer_index=4)
+        assert out.shape == (*lead, 1, 8)
+        assert np.allclose(out.data, full.data[..., :1, :], rtol=0, atol=1e-12)
 
 
 class TestForwardCollect:
@@ -251,7 +270,7 @@ class TestForwardCollect:
         trace = forward_collect(z0, stack, heads=2)
         z = z0
         for i, layer in enumerate(stack, start=1):
-            z, _ = encoder_layer(z, layer, heads=2, layer_index=i)
+            z, _ = _block(z, layer, heads=2, layer_index=i)
         assert np.array_equal(trace.hidden[-1].data, z.data)
 
     def test_scores_row_softmax_is_stochastic(self):

@@ -148,7 +148,7 @@ def test_stacked_probe_values_equal_one_copy_values(monkeypatch, seed):
     monkeypatch.setattr(gradcheck, "finite_diff_check", check_spy)
     monkeypatch.setattr(gradcheck, "_central_difference", loop_spy)
     names = [r.name for r in op_checks(seed)]
-    assert len(single_forms) == len(names) == 34
+    assert len(single_forms) == len(names) == 36
     assert compared == [True] * 2 * len(names), [
         name for name, ok in zip(names, zip(compared[::2], compared[1::2])) if not all(ok)]
 

@@ -156,7 +156,8 @@ class TestForwardPasses:
                            plain_vit(model, image), atol=1e-5)
 
     def test_two_layer_plain_is_layer_composition(self):
-        from fusevit.encoder import embed, encoder_layer, patchify
+        # every layer as the full block; the head reads the class row
+        from fusevit.encoder import _block, embed, patchify
         from fusevit.model import FuseVitModel
         cfg = toy_cfg(layers=2, k=2)
         model = FuseVitModel.build(cfg, dtype=np.float64)
@@ -164,8 +165,8 @@ class TestForwardPasses:
         image = Tensor(rng.uniform(0, 1, (32, 32, 1)), dtype=np.float64)
         z = embed(patchify(image, cfg.patch_size), model.embedder)
         for layer in model.layers:
-            z, _ = encoder_layer(z, layer, cfg.heads)
-        expected = model._classify(z).data
+            z, _ = _block(z, layer, cfg.heads)
+        expected = model._classify(Tensor._wrap(z.data[:1])).data
         assert np.allclose(model.plain_forward(image).data, expected, atol=1e-12)
 
     def test_logits_deterministic_across_calls(self):

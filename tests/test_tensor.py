@@ -149,20 +149,21 @@ class TestAttention:
         assert np.allclose(scores.data, expected_scores, rtol=1e-12, atol=1e-12)
 
     def test_stack_equals_each_image(self):
-        x, ws = _attention_inputs(21, lead=(3,))
-        w = t64(np.random.default_rng(22).standard_normal(x.shape))
-        x.requires_grad = True
-        with Tape() as tape:
-            out, scores = attention(x, ws, 2)
-            tape.backward(sum_all(mul(out, w)))
-        for i in range(3):
-            xi = t64(x.data[i], requires_grad=True)
+        for queries, rows in ((None, 5), (1, 1)):  # every row's queries, and layer L's one
+            x, ws = _attention_inputs(21, lead=(3,))
+            w = t64(np.random.default_rng(22).standard_normal((3, rows, 8)))
+            x.requires_grad = True
             with Tape() as tape:
-                out_i, scores_i = attention(xi, ws, 2)
-                tape.backward(sum_all(mul(out_i, t64(w.data[i]))))
-            assert np.array_equal(out.data[i], out_i.data)
-            assert np.array_equal(scores.data[i], scores_i.data)
-            assert np.array_equal(x.grad[i], xi.grad)
+                out, scores = attention(x, ws, 2, queries)
+                tape.backward(sum_all(mul(out, w)))
+            for i in range(3):
+                xi = t64(x.data[i], requires_grad=True)
+                with Tape() as tape:
+                    out_i, scores_i = attention(xi, ws, 2, queries)
+                    tape.backward(sum_all(mul(out_i, t64(w.data[i]))))
+                assert np.array_equal(out.data[i], out_i.data)
+                assert np.array_equal(scores.data[i], scores_i.data)
+                assert np.array_equal(x.grad[i], xi.grad)
 
     @pytest.mark.parametrize("slot", range(5), ids=["x", "wq", "wk", "wv", "wo"])
     def test_stacked_weights_gradient_matches_finite_differences(self, slot):
@@ -184,6 +185,29 @@ class TestAttention:
             _, scores = attention(x, ws, 2)
         assert len(tape) == 1
         assert not scores.requires_grad
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "stack"])
+    def test_one_query_equals_the_full_form_on_row_zero(self, lead):
+        # layer L's form: only row 0 of the full form's output reaches the loss,
+        # so every partial, x's included, is the one-query form's
+        x, ws = _attention_inputs(26, lead=lead)
+        w = t64(np.random.default_rng(27).standard_normal((*lead, 1, 8)))
+        runs = []
+        for queries in (None, 1):
+            leaves = [t64(a.data, requires_grad=True) for a in (x, *ws)]
+            with Tape() as tape:
+                out, scores = attention(leaves[0], leaves[1:], 2, queries=queries)
+                tape.backward(sum_all(mul(gather_rows(out, np.zeros((*lead, 1), np.intp)), w)
+                                      if queries is None else mul(out, w)))
+                assert len(tape) == (4 if queries is None else 3)
+            runs.append((out.data[..., :1, :], scores.data[..., :1, :],
+                         [leaf.grad for leaf in leaves]))
+        (full, full_scores, full_grads), (one, one_scores, one_grads) = runs
+        assert one.shape == (*lead, 1, 8) and one_scores.shape == (*lead, 1, 5)
+        assert np.allclose(one, full, rtol=0, atol=1e-12)
+        assert np.allclose(one_scores, full_scores, rtol=0, atol=1e-12)
+        for name, a, b in zip(("x", "wq", "wk", "wv", "wo"), one_grads, full_grads):
+            assert np.allclose(a, b, rtol=0, atol=1e-12), name
 
 
 def _recording_ops() -> set[str]:
@@ -674,6 +698,8 @@ def _vector_valued(x):
     (lambda: attention(t64(np.zeros((3, 4))), [t64(np.zeros((4, 4)))] * 3
                        + [t64(np.zeros((4, 5)))], 2), ShapeError,
      "attention of (3, 4) with weights [(4, 4), (4, 4), (4, 4), (4, 5)]"),
+    (lambda: attention(t64(np.zeros((3, 4))), [t64(np.zeros((4, 4)))] * 4, 2, queries=4),
+     ShapeError, "attention of 4 query rows from 3 rows"),
     (lambda: feedforward(t64(np.zeros((3, 4))), [t64(np.zeros((4, 5)))] * 3), ShapeError,
      "feedforward takes 4 weights, got 3"),
     (lambda: feedforward(t64(np.zeros((3, 4))), [t64(np.zeros((4, 5))), t64(np.zeros(5)),
@@ -696,7 +722,7 @@ def _vector_valued(x):
      NumericError, "tensor holds non-finite values"),
 ], ids=["add", "add-grows-a", "mul", "reshape", "concat-empty", "concat-mismatch",
         "gather-index-shape", "gather-range", "layer-norm-affine", "layer-norm-affine-grows",
-        "layer-norm-dtypes", "attention-weights", "feedforward-weights",
+        "layer-norm-dtypes", "attention-weights", "attention-queries", "feedforward-weights",
         "feedforward-w2", "feedforward-b1", "feedforward-dtypes", "fd-step",
         "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
