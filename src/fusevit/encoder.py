@@ -172,22 +172,20 @@ def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
     return feedforward(z, (layer["mlp.w1"], layer["mlp.b1"], layer["mlp.w2"], layer["mlp.b2"]))
 
 
-def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None):
-    """Full transformer block; returns (output, attention scores)."""
-    attended, scores = msa(z, layer, heads, layer_index)
+def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None,
+           queries: int | None = None):
+    """Full transformer block; returns (output, attention scores). With ``queries``,
+    only the first that many rows issue queries, and the output holds those rows."""
+    attended, scores = msa(z, layer, heads, layer_index, queries)
     normed = layer_norm(attended, layer["ln2.gamma"], layer["ln2.beta"])
     return add(attended, mlp(normed, layer)), scores
 
 
 def encoder_layer(z: Tensor, layer: dict[str, Tensor], heads: int,
                   layer_index: int | None = None) -> Tensor:
-    """The last layer, of which the head reads only the class token: ``_block``'s
-    row 0, ``(..., 1, D)``. The class row alone issues a query, against keys and
-    values from every row (CaiT's class attention), and alone goes through the
-    residual, LN2 and the MLP."""
-    attended, _ = msa(z, layer, heads, layer_index, queries=1)
-    normed = layer_norm(attended, layer["ln2.gamma"], layer["ln2.beta"])
-    return add(attended, mlp(normed, layer))
+    """Layer L, of which the head reads only the class token: ``_block``'s row 0,
+    ``(..., 1, D)``, that row the one query against every row (CaiT's class attention)."""
+    return _block(z, layer, heads, layer_index, queries=1)[0]
 
 
 def forward_collect(z0: Tensor, layers: list[dict[str, Tensor]], heads: int) -> EncoderTrace:

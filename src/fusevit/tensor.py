@@ -113,7 +113,7 @@ class Tape:
 
     def backward(self, loss: Tensor) -> None:
         """Add the loss's gradient into the ``.grad`` of every requires_grad leaf
-        on this tape; a leaf the loss does not reach gets zeros.
+        on this tape; a leaf the loss does not reach keeps its ``.grad``.
 
         Each record, with the forward buffers its rule held, is dropped as soon
         as the rule has run, and each intermediate's ``.grad`` is set to None
@@ -129,14 +129,10 @@ class Tape:
         records, self._records = self._records, []
         self._replayed = len(records)
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        unreached = {}  # requires_grad inputs of records without flow, by id
         while records:
             output, inputs, rule = records.pop()
-            # an intermediate's own record comes after all its consumers' records
-            unreached.pop(id(output), None)
             out_grad, output.grad = output.grad, None
             if out_grad is None:
-                unreached.update((id(t), t) for t in inputs if t.requires_grad)
                 continue
             for t, p in zip(inputs, rule(out_grad)):
                 if not t.requires_grad:
@@ -149,9 +145,6 @@ class Tape:
                 else:
                     t.grad += p
             del p  # the last partial would otherwise live through the next rule
-        for t in unreached.values():
-            if t.grad is None:
-                t.grad = np.zeros_like(t.data)
 
 
 _TAPE_STACK: list[Tape] = []

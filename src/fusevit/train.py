@@ -193,6 +193,8 @@ def evaluate(model, image_set: ImageSet, num_classes: int,
             images = np.stack([augment(img, aug) for img in images])
         labels = image_set.labels[lo:lo + step]
         logits = np.asarray(model.forward(images).logits.data, dtype=np.float64)
+        if logits.shape[-1] != num_classes:
+            raise ConfigError(f"model has {logits.shape[-1]} classes, evaluating {num_classes}")
         if not np.isfinite(logits).all():
             raise NumericError("non-finite logits in evaluation")
         for loss in cross_entropy(Tensor._wrap(logits), labels).data.tolist():

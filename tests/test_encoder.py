@@ -246,6 +246,18 @@ class TestEncoderLayer:
         assert out.shape == (*lead, 1, 8)
         assert np.allclose(out.data, full.data[..., :1, :], rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "stack"])
+    @pytest.mark.parametrize("queries", [1, 2])
+    def test_leading_query_rows_are_those_of_the_block(self, queries, lead):
+        rng = np.random.default_rng(30 + queries)
+        layer = make_layer(rng, 8, 16)
+        z = t64(rng.standard_normal((*lead, 13, 8)))
+        full, full_scores = _block(z, layer, heads=2)
+        out, scores = _block(z, layer, heads=2, queries=queries)
+        assert out.shape == (*lead, queries, 8) and scores.shape == (*lead, queries, 13)
+        assert np.allclose(out.data, full.data[..., :queries, :], rtol=0, atol=1e-12)
+        assert np.allclose(scores.data, full_scores.data[..., :queries, :], rtol=0, atol=1e-12)
+
 
 class TestForwardCollect:
     def _toy(self, rng, layers, d=8, n=4):

@@ -188,26 +188,28 @@ class TestAttention:
 
     @pytest.mark.parametrize("lead", [(), (3,)], ids=["image", "stack"])
     def test_one_query_equals_the_full_form_on_row_zero(self, lead):
-        # layer L's form: only row 0 of the full form's output reaches the loss,
-        # so every partial, x's included, is the one-query form's
+        # layer L's form, and r = 2 query rows: only rows :r of the full form's
+        # output reach the loss, so every partial, x's included, is the r-query form's
         x, ws = _attention_inputs(26, lead=lead)
-        w = t64(np.random.default_rng(27).standard_normal((*lead, 1, 8)))
-        runs = []
-        for queries in (None, 1):
-            leaves = [t64(a.data, requires_grad=True) for a in (x, *ws)]
-            with Tape() as tape:
-                out, scores = attention(leaves[0], leaves[1:], 2, queries=queries)
-                tape.backward(sum_all(mul(gather_rows(out, np.zeros((*lead, 1), np.intp)), w)
-                                      if queries is None else mul(out, w)))
-                assert len(tape) == (4 if queries is None else 3)
-            runs.append((out.data[..., :1, :], scores.data[..., :1, :],
-                         [leaf.grad for leaf in leaves]))
-        (full, full_scores, full_grads), (one, one_scores, one_grads) = runs
-        assert one.shape == (*lead, 1, 8) and one_scores.shape == (*lead, 1, 5)
-        assert np.allclose(one, full, rtol=0, atol=1e-12)
-        assert np.allclose(one_scores, full_scores, rtol=0, atol=1e-12)
-        for name, a, b in zip(("x", "wq", "wk", "wv", "wo"), one_grads, full_grads):
-            assert np.allclose(a, b, rtol=0, atol=1e-12), name
+        for r in (1, 2):
+            w = t64(np.random.default_rng(27).standard_normal((*lead, r, 8)))
+            rows = np.broadcast_to(np.arange(r), (*lead, r))
+            runs = []
+            for queries in (None, r):
+                leaves = [t64(a.data, requires_grad=True) for a in (x, *ws)]
+                with Tape() as tape:
+                    out, scores = attention(leaves[0], leaves[1:], 2, queries=queries)
+                    tape.backward(sum_all(mul(gather_rows(out, rows), w)
+                                          if queries is None else mul(out, w)))
+                    assert len(tape) == (4 if queries is None else 3)
+                runs.append((out.data[..., :r, :], scores.data[..., :r, :],
+                             [leaf.grad for leaf in leaves]))
+            (full, full_scores, full_grads), (part, part_scores, part_grads) = runs
+            assert part.shape == (*lead, r, 8) and part_scores.shape == (*lead, r, 5)
+            assert np.allclose(part, full, rtol=0, atol=1e-12)
+            assert np.allclose(part_scores, full_scores, rtol=0, atol=1e-12)
+            for name, a, b in zip(("x", "wq", "wk", "wv", "wo"), part_grads, full_grads):
+                assert np.allclose(a, b, rtol=0, atol=1e-12), (r, name)
 
 
 def _recording_ops() -> set[str]:
@@ -476,14 +478,23 @@ class TestBackward:
         assert type(b.grad) is np.ndarray and b.grad.shape == ()
         assert b.grad == np.ones(a_shape).size
 
-    def test_unreachable_tensor_gets_zero(self):
+    def test_unreached_leaf_keeps_its_grad(self):
         x = t64([1.0], requires_grad=True)
         y = t64([1.0], requires_grad=True)
         with Tape() as tape:
             sum_all(mul(y, y))  # on tape, but not reachable from the loss
             loss = sum_all(mul(x, x))
             tape.backward(loss)
-        assert np.allclose(y.grad, 0.0)
+        assert y.grad is None
+        # a gradient from an earlier backward stays, bit for bit
+        with Tape() as tape:
+            tape.backward(sum_all(mul(y, t64([0.1]))))
+        held = y.grad.copy()
+        with Tape() as tape:
+            sum_all(mul(y, y))
+            tape.backward(sum_all(mul(x, x)))
+        assert np.array_equal(y.grad, held) and y.grad.dtype == held.dtype
+        assert np.array_equal(x.grad, [4.0])
 
     def test_non_scalar_loss_rejected(self):
         x = t64([1.0, 2.0], requires_grad=True)
@@ -523,7 +534,7 @@ class TestBackward:
         assert len(tape) == 5
         assert np.array_equal(x.data, [0.5, -1.0, 2.0]) and x.grad.shape == (3,)
         assert s.grad is None and loss.grad is None
-        assert np.array_equal(unreached.grad, [0.0])
+        assert unreached.grad is None
 
     def test_grads_accumulate_until_zeroed(self):
         x = t64([1.0], requires_grad=True)

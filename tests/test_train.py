@@ -358,6 +358,16 @@ class TestEvaluate:
         assert report.per_class == [2 / 3, 1.0, 0.0, 0.0, 0.0]
         assert [type(n) for n in report.class_counts] == [int] * 5
 
+    @pytest.mark.parametrize("num_classes", [3, 7])
+    def test_class_count_other_than_the_models_rejected(self, num_classes):
+        # a 5-class model: unchecked, 3 would index the counters past their end
+        # with labels 3 and 4, and 7 would make a 7-class report
+        model = FuseVitModel.build(replace(small_model("maws").cfg, num_classes=5))
+        images = ImageSet(np.zeros((5, 16, 16, 1), np.float32), np.arange(5))
+        with pytest.raises(ConfigError) as info:
+            evaluate(model, images, num_classes)
+        assert str(info.value) == f"model has 5 classes, evaluating {num_classes}"
+
     def test_empty_dataset_rejected(self):
         empty = ImageSet(np.empty((0, 4, 4, 1), np.float32),
                          np.empty(0, np.int64))
