@@ -119,26 +119,22 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    """``--config`` plus one flag per ``RunConfig`` field, unset by default."""
-    p.add_argument("--config", metavar="PATH", help="JSON config file")
-    for name, (kind, _) in ftz.field_types(RunConfig).items():
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
-        elif name == "selector":
-            p.add_argument(flag, dest=name, choices=tuple(REGISTRY))
-        else:
-            p.add_argument(flag, dest=name, type=kind)
-
-
 def build_parser() -> _Parser:
+    """Each command takes ``--config`` and one flag per ``RunConfig`` field, unset by default."""
     parser = _Parser(prog="fusevit",
                      description="Selective-fusion vision transformer toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, desc) in _COMMANDS.items():
-        p = sub.add_parser(name, help=desc)
-        _add_common_flags(p)
+    for command, (_, desc) in _COMMANDS.items():
+        p = sub.add_parser(command, help=desc)
+        p.add_argument("--config", metavar="PATH", help="JSON config file")
+        for name, (kind, _) in ftz.field_types(RunConfig).items():
+            flag = "--" + name.replace("_", "-")
+            if kind is bool:
+                p.add_argument(flag, dest=name, action=argparse.BooleanOptionalAction)
+            elif name == "selector":
+                p.add_argument(flag, dest=name, choices=tuple(REGISTRY))
+            else:
+                p.add_argument(flag, dest=name, type=kind)
     return parser
 
 
@@ -205,10 +201,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint")
     dataset = _load_dataset_checked(cfg)
     model = load_checkpoint(cfg.checkpoint)
-    if model.cfg.num_classes != dataset.num_classes:
-        raise ConfigError(
-            f"checkpoint has {model.cfg.num_classes} classes, "
-            f"dataset has {dataset.num_classes}")
     # evaluation never flips, so the flip setting does not matter here
     aug = cfg.augment_config(model.cfg.image_h)
     report = evaluate(model, dataset.test, dataset.num_classes, aug)

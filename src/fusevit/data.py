@@ -78,19 +78,14 @@ class SynthDataset:
         return self.spec.num_classes
 
 
-def _smooth_background(rng: np.random.Generator, size: int) -> np.ndarray:
-    # low-resolution noise upsampled bilinearly, scaled into [0, 0.5]
-    coarse = rng.uniform(0.0, 1.0, size=(5, 5))
-    bg = bilinear_resize(coarse[:, :, None], size, size)
-    return (0.5 * bg).astype(np.float64)
-
-
 def generate_synth(spec: SynthSpec) -> SynthDataset:
     """Deterministic dataset build: prototypes per class plus per-image noise."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
     cell = spec.image_size // SIGNAL_GRID
-    prototypes = np.repeat(_smooth_background(rng, spec.image_size)[None],
-                           spec.num_classes, axis=0)
+    # background: low-resolution noise upsampled bilinearly, scaled into [0, 0.5]
+    coarse = rng.uniform(0.0, 1.0, size=(5, 5, 1))
+    background = 0.5 * bilinear_resize(coarse, spec.image_size, spec.image_size)
+    prototypes = np.repeat(background[None], spec.num_classes, axis=0).astype(np.float64)
     for proto in prototypes:
         cells = rng.choice(SIGNAL_GRID * SIGNAL_GRID, size=spec.signal_patch_count,
                            replace=False)

@@ -56,8 +56,9 @@ class ModelConfig:
             raise ConfigError(f"need at least 2 layers, got {self.layers}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        self.selector = str(self.selector).lower()
-        if self.selector not in REGISTRY:
+        if isinstance(self.selector, str):  # None is refused, not read as the "none" arm
+            self.selector = self.selector.lower()
+        if not isinstance(self.selector, str) or self.selector not in REGISTRY:
             raise ConfigError(
                 f"selector must be one of {tuple(REGISTRY)}, got {self.selector!r}")
         if self.num_patches < 1:

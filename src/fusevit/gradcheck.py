@@ -248,14 +248,17 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
                    dtype=np.float64)
     label = 1
 
-    frozen = model.forward(image).selections
+    # the one taped forward runs the selector; every copy reuses its selections
+    with Tape() as tape:
+        taped = model.forward(image)
+        tape.backward(T.cross_entropy(taped.logits, label))
 
     def stacked_forward(n: int):
-        """One forward of ``n`` copies of the image with the frozen selections."""
+        """One forward of ``n`` copies of the image with the taped forward's selections."""
         images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
         stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
                                    np.broadcast_to(s.weights, (n, *s.weights.shape)))
-                   for s in frozen]
+                   for s in taped.selections]
         return model.forward(images, frozen_selections=stacked)
 
     # no parameter of layer L or the head moves the tokens layer L reads
@@ -277,12 +280,6 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
             return T.cross_entropy(logits, np.full(n, label)).data
         finally:
             param.data = saved
-
-    model.zero_grad()
-    with Tape() as tape:
-        result = model.forward(image, frozen_selections=frozen)
-        loss = T.cross_entropy(result.logits, label)
-        tape.backward(loss)
 
     results = []
     for name, param in model.named_parameters():

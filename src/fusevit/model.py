@@ -82,7 +82,10 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
     parts = [gather_rows(trace.hidden[-1], cls_rows)]
     for layer, (hidden, sel) in enumerate(zip(trace.hidden, selections), start=1):
         count = hidden.data.shape[-2]
-        idx = np.asarray(sel.indices, dtype=np.intp)
+        idx = np.asarray(sel.indices)
+        if idx.size and idx.dtype.kind not in "iu":
+            raise TraceMismatchError(
+                f"selection indices must be integers, got {idx.dtype} at layer {layer}")
         outside = idx[(idx < 1) | (idx >= count)]
         if outside.size:
             raise TraceMismatchError(
@@ -136,7 +139,7 @@ class FuseVitModel:
     ``embedder``, ``layers`` and ``head`` are its groups.
     """
 
-    def __init__(self, cfg: ModelConfig, source, dtype=np.float32):
+    def __init__(self, cfg: ModelConfig, source, dtype):
         """Walk ``parameter_shapes(cfg)``, taking each array from
         ``source(name, shape, init)`` and casting it to ``dtype`` at once."""
         self.cfg = cfg
@@ -193,13 +196,6 @@ class FuseVitModel:
             image = Tensor(image.data, dtype=self.dtype)
         return image
 
-    def _classify(self, cls_row: Tensor) -> Tensor:
-        """The head over layer L's class row, ``(1, D)`` or ``(..., 1, D)``."""
-        lead = cls_row.data.shape[:-2]
-        x = layer_norm(cls_row, self.head["ln.gamma"], self.head["ln.beta"])
-        x = add(matmul(x, self.head["0.w"]), self.head["0.b"])
-        return reshape(x, (*lead, self.cfg.num_classes))
-
     def _encode(self, image) -> EncoderTrace:
         """Check the image, embed its patches and run layers 1..L-1."""
         cfg = self.cfg
@@ -210,8 +206,10 @@ class FuseVitModel:
     def _final(self, tokens: Tensor) -> Tensor:
         """Layer L's class row over ``tokens``, then the classifier head."""
         cfg = self.cfg
-        return self._classify(
-            encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers))
+        x = encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers)
+        x = layer_norm(x, self.head["ln.gamma"], self.head["ln.beta"])
+        x = add(matmul(x, self.head["0.w"]), self.head["0.b"])
+        return reshape(x, (*tokens.data.shape[:-2], cfg.num_classes))
 
     def forward(self, image, frozen_selections: list[SelectionResult] | None = None
                 ) -> ForwardResult:

@@ -92,8 +92,8 @@ REGISTRY = {"none": first_k, "saws": saws, "maws": maws}
 
 def select_per_layer(trace, k: int, kind: str) -> list[SelectionResult]:
     """Apply one selector to every recorded layer; item ``i`` is layer ``i + 1``'s."""
-    kind = str(kind).lower()
-    if kind not in REGISTRY:
+    kind = kind.lower() if isinstance(kind, str) else kind
+    if not isinstance(kind, str) or kind not in REGISTRY:
         raise ConfigError(f"selector kind must be one of {tuple(REGISTRY)}, got {kind!r}")
     select = REGISTRY[kind]
     return [select(record.scores, k) for record in trace.attention]

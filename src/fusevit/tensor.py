@@ -278,7 +278,10 @@ def gather_rows(a: Tensor, indices) -> Tensor:
     own rows.
     """
     ad = a.data
-    idx = np.asarray(indices, dtype=np.intp)
+    idx = np.asarray(indices)
+    if idx.size and idx.dtype.kind not in "iu":  # a cast would truncate floats, bools
+        raise ShapeError(f"gather_rows indices must be integers, got {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if ad.ndim < 2 or idx.ndim != ad.ndim - 1 or idx.shape[:-1] != ad.shape[:-2]:
         raise ShapeError(f"gather_rows of indices shaped {idx.shape} from shape {ad.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= ad.shape[-2]):

@@ -758,7 +758,7 @@ class TestManifestBoundary:
         capsys.readouterr()
         code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(trained[1]))
         assert code == 1
-        assert capsys.readouterr().err == "error: checkpoint has 3 classes, dataset has 2\n"
+        assert capsys.readouterr().err == "error: model has 3 classes, dataset has 2\n"
 
     @pytest.mark.parametrize("crop_flag", ["--resize-to"])
     def test_eval_zero_crop_reports_one_error_line(self, trained, capsys, crop_flag):

@@ -38,6 +38,9 @@ def overflowing_layer():
 @pytest.mark.parametrize("call, error, message", [
     (lambda: ModelConfig(seed=-1), ConfigError, "seed must be non-negative, got -1"),
     (lambda: ModelConfig(head_layers=2), ConfigError, "head_layers must be 1, got 2"),
+    # str(None) is "none", which would build the ablation arm
+    (lambda: ModelConfig(selector=None), ConfigError,
+     "selector must be one of ('none', 'saws', 'maws'), got None"),
     (lambda: ModelConfig(image_h=16, image_w=4, patch_size=8, k=1), ConfigError,
      "patch size 8 too large for 16x4 images"),
     (lambda: patchify(t64(np.zeros((4, 4))), 2), ShapeError,
@@ -52,8 +55,8 @@ def overflowing_layer():
      "non-finite values in attention output of layer 4"),
     (lambda: FuseVitModel.build(ModelConfig(), np.float16), ConfigError,
      "model dtype must be float32 or float64, got float16"),
-], ids=["negative-seed", "head-layers", "patch-too-large", "patchify-rank", "msa-width",
-        "msa-layer", "msa-block", "layer-L", "model-dtype"])
+], ids=["negative-seed", "head-layers", "selector-None", "patch-too-large", "patchify-rank",
+        "msa-width", "msa-layer", "msa-block", "layer-L", "model-dtype"])
 def test_bad_input_raises_typed_error(call, error, message):
     with np.errstate(over="ignore"), pytest.raises(error) as info:
         call()

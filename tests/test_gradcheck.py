@@ -193,9 +193,9 @@ def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
 
 def test_late_parameters_rerun_only_the_final_layer(monkeypatch):
     # the fused tokens do not depend on layer L or the head, so each chunk of their
-    # copies is one direct _final call; the other parameters' 24 chunks, the
-    # selection and taped forwards and the one-copy forward of the fused tokens run
-    # forward, which calls _final once itself
+    # copies is one direct _final call; the other parameters' 24 chunks, the taped
+    # forward (which runs the selector) and the one-copy forward of the fused tokens
+    # run forward, which calls _final once itself
     calls = {"forward": 0, "_final": 0}
 
     def counted(name):
@@ -209,7 +209,7 @@ def test_late_parameters_rerun_only_the_final_layer(monkeypatch):
     counted("forward")
     counted("_final")
     end_to_end_check(0)
-    assert calls == {"forward": 27, "_final": 27 + 18}
+    assert calls == {"forward": 26, "_final": 26 + 18}
 
 
 def test_end_to_end_passes_on_many_seeds():

@@ -17,7 +17,16 @@ from fusevit.model import (
     save_checkpoint,
 )
 from fusevit.selector import REGISTRY, SelectionResult, maws, select_per_layer
-from fusevit.tensor import Tape, Tensor, cross_entropy, scale, sum_all
+from fusevit.tensor import (
+    Tape,
+    Tensor,
+    add,
+    cross_entropy,
+    layer_norm,
+    matmul,
+    scale,
+    sum_all,
+)
 
 
 def toy_cfg(selector="maws", **kw):
@@ -100,6 +109,16 @@ class TestFuse:
             fuse(trace, selections)
         assert str(info.value) == f"{count} selections for 2 traced layers"
 
+    @pytest.mark.parametrize("indices", [np.array([1.7, 2.0]), np.array([True, True])],
+                             ids=["float", "bool"])
+    def test_non_integer_indices_rejected(self, indices):
+        # a cast to intp would read 1.7 as token 1 and True as token 1
+        trace = random_trace(np.random.default_rng(8), layers=1, n=4, d=4)
+        with pytest.raises(TraceMismatchError) as info:
+            fuse(trace, [SelectionResult(indices, np.ones(2))])
+        assert str(info.value) == (
+            f"selection indices must be integers, got {indices.dtype} at layer 1")
+
     def test_out_of_range_index_rejected(self):
         rng = np.random.default_rng(8)
         trace = random_trace(rng, layers=1, n=4, d=4)
@@ -166,8 +185,20 @@ class TestForwardPasses:
         z = embed(patchify(image, cfg.patch_size), model.embedder)
         for layer in model.layers:
             z, _ = _block(z, layer, cfg.heads)
-        expected = model._classify(Tensor._wrap(z.data[:1])).data
+        head = model.head
+        x = layer_norm(Tensor._wrap(z.data[:1]), head["ln.gamma"], head["ln.beta"])
+        expected = add(matmul(x, head["0.w"]), head["0.b"]).data[0]
         assert np.allclose(model.plain_forward(image).data, expected, atol=1e-12)
+
+    def test_frozen_selections_of_floats_rejected(self):
+        # truncated, indices + 0.7 would be the true indices and give their logits
+        model = FuseVitModel.build(toy_cfg(), dtype=np.float64)
+        image = np.random.default_rng(15).uniform(0, 1, (32, 32, 1))
+        frozen = [SelectionResult(np.asarray(s.indices) + 0.7, s.weights)
+                  for s in model.forward(image).selections]
+        with pytest.raises(TraceMismatchError) as info:
+            model.forward(image, frozen_selections=frozen)
+        assert str(info.value) == "selection indices must be integers, got float64 at layer 1"
 
     def test_logits_deterministic_across_calls(self):
         model = FuseVitModel.build(toy_cfg())

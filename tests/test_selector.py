@@ -172,7 +172,10 @@ class TestSelectPerLayer:
      "attention scores must be square, got shape (4,)"),
     (lambda: select_per_layer(random_trace(np.random.default_rng(0), 1, 3), 1, "top"),
      ConfigError, "selector kind must be one of ('none', 'saws', 'maws'), got 'top'"),
-], ids=["non-square", "vector", "unknown-kind"])
+    # str(None) is "none", which would run first_k
+    (lambda: select_per_layer(random_trace(np.random.default_rng(0), 1, 3), 1, None),
+     ConfigError, "selector kind must be one of ('none', 'saws', 'maws'), got None"),
+], ids=["non-square", "vector", "unknown-kind", "kind-None"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()

@@ -688,6 +688,8 @@ def _vector_valued(x):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: add(t64(np.zeros((2, 3))), t64(np.zeros(2))), ShapeError,
      "add shape mismatch: (2, 3) + (2,)"),
+    (lambda: add(t64(np.zeros((2, 1, 4))), t64(np.zeros((2, 3, 4)))), ShapeError,
+     "add shape mismatch: (2, 1, 4) + (2, 3, 4)"),
     (lambda: mul(t64(np.zeros(2)), t64(np.zeros(3))), ShapeError,
      "mul shape mismatch: (2,) * (3,)"),
     (lambda: reshape(t64(np.zeros(6)), (4, 2)), ShapeError, "cannot reshape (6,) to (4, 2)"),
@@ -698,8 +700,11 @@ def _vector_valued(x):
      "gather_rows of indices shaped (2,) from shape (2, 3, 4)"),
     (lambda: gather_rows(t64(np.zeros((3, 4))), [0, 3]), ShapeError,
      "row indices [0, 3] out of range for (3, 4)"),
-    (lambda: add(t64(np.zeros((2, 1, 4))), t64(np.zeros((2, 3, 4)))), ShapeError,
-     "add shape mismatch: (2, 1, 4) + (2, 3, 4)"),
+    # a cast to intp would read 1.7 as row 1, and True, False as rows 1, 0
+    (lambda: gather_rows(t64(np.zeros((3, 4))), np.array([0.0, 1.7])), ShapeError,
+     "gather_rows indices must be integers, got float64"),
+    (lambda: gather_rows(t64(np.zeros((3, 4))), [True, False]), ShapeError,
+     "gather_rows indices must be integers, got bool"),
     (lambda: layer_norm(t64(np.zeros((2, 4))), t64(np.ones(4)), t64(np.zeros(3))), ShapeError,
      "layer_norm affine shapes (4,)/(3,) do not match D=4"),
     (lambda: layer_norm(t64(np.zeros((6, 4))), t64(np.ones((2, 1, 4))), t64(np.zeros(4))),
@@ -732,14 +737,20 @@ def _vector_valued(x):
     (lambda: FuseVitModel.build(ModelConfig()).forward(np.full((32, 32, 1), 1e300)),
      NumericError, "tensor holds non-finite values"),
 ], ids=["add", "add-grows-a", "mul", "reshape", "concat-empty", "concat-mismatch",
-        "gather-index-shape", "gather-range", "layer-norm-affine", "layer-norm-affine-grows",
-        "layer-norm-dtypes", "attention-weights", "attention-queries", "feedforward-weights",
-        "feedforward-w2", "feedforward-b1", "feedforward-dtypes", "fd-step",
-        "fd-non-scalar", "f64-overflows-f32", "forward-f64-overflows-f32"])
+        "gather-index-shape", "gather-range", "gather-float", "gather-bool",
+        "layer-norm-affine", "layer-norm-affine-grows", "layer-norm-dtypes", "attention-weights",
+        "attention-queries", "feedforward-weights", "feedforward-w2", "feedforward-b1",
+        "feedforward-dtypes", "fd-step", "fd-non-scalar", "f64-overflows-f32",
+        "forward-f64-overflows-f32"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
+
+
+def test_gather_rows_of_no_indices_is_empty():
+    # np.asarray([]) is float64, but an empty index array has nothing to truncate
+    assert gather_rows(t64(np.zeros((3, 4))), []).shape == (0, 4)
 
 
 def test_integer_data_is_stored_as_f32():

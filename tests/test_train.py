@@ -366,7 +366,7 @@ class TestEvaluate:
         images = ImageSet(np.zeros((5, 16, 16, 1), np.float32), np.arange(5))
         with pytest.raises(ConfigError) as info:
             evaluate(model, images, num_classes)
-        assert str(info.value) == f"model has 5 classes, evaluating {num_classes}"
+        assert str(info.value) == f"model has 5 classes, dataset has {num_classes}"
 
     def test_empty_dataset_rejected(self):
         empty = ImageSet(np.empty((0, 4, 4, 1), np.float32),
