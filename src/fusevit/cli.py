@@ -239,11 +239,11 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
     """
     model_cfg = cfg.model_config(dataset.num_classes)
     tcfg = cfg.train_config()
-    init_loss = evaluate(FuseVitModel.build(replace(model_cfg, selector="none")),
-                         dataset.test, dataset.num_classes).mean_loss
     rows = []
     for variant in REGISTRY:
         model = FuseVitModel.build(replace(model_cfg, selector=variant))
+        if variant == "none":  # the order matters: evaluated before ``train`` moves it
+            init_loss = evaluate(model, dataset.test, dataset.num_classes).mean_loss
         train(model, dataset, tcfg)
         test_report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
         train_report = evaluate(model, dataset.train, dataset.num_classes, tcfg.augment)

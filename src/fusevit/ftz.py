@@ -62,7 +62,7 @@ def loads(blob: bytes, dtype=None) -> np.ndarray:
     dtype_name = header.get("dtype")
     if type(dtype_name) is not str or dtype_name not in DTYPES:
         raise FtzError(f"unknown FTZ dtype {dtype_name!r}")
-    shape = header.get("shape", [])
+    shape = header.get("shape")
     if not isinstance(shape, list) or not all(
             type(s) is int and s >= 0 for s in shape):
         raise FtzError(f"FTZ shape must be a list of non-negative ints, got {shape!r}")

@@ -59,8 +59,8 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
                       values: Callable[[np.ndarray], np.ndarray] | None = None) -> float:
     """Worst relative error between the tape gradient of f and central differences.
 
-    ``f`` must map one tensor to a scalar tensor and be deterministic; this is
-    verified by evaluating it twice and requiring bit-identical results.
+    ``f`` must map one tensor to a scalar tensor and be deterministic: its value
+    untaped and its value on the tape must have the same bits.
     Each coordinate's error is measured as in ``_central_difference``.
     ``values``, if given, evaluates a stack of ±h copies of ``x`` as
     ``_central_difference`` hands it over, and must give ``f``'s value for
@@ -76,15 +76,13 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-5,
         return float(out.data)
 
     base = x.data.copy()
-    v1 = eval_value(base.copy())
-    v2 = eval_value(base.copy())
-    if v1 != v2:
-        raise OracleError("function under test is not deterministic")
-
+    value = eval_value(base.copy())
     leaf = Tensor(base.copy(), requires_grad=True, dtype=base.dtype)
     with Tape() as tape:
         out = f(leaf)
         tape.backward(out)
+    if float(out.data) != value:
+        raise OracleError("function under test is not deterministic")
     analytic = leaf.grad.ravel() if leaf.grad is not None else np.zeros(base.size)
     # copies[i, ...] is an array even for a 0-d input, where copies[i] is a numpy scalar
     values = values or (lambda copies: [eval_value(copies[i, ...]) for i in range(len(copies))])
@@ -222,7 +220,7 @@ def _probe(rng: np.random.Generator, name: str, op: Callable[..., Tensor],
         y = op(Tensor._wrap(xs), lift).data
         return (y.reshape(n, -1) * w.data.ravel()).sum(axis=1)
 
-    err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v, lambda u: u), w)), x, h=1e-5,
+    err = finite_diff_check(lambda v: T.sum_all(T.mul(op(v, lambda u: u), w)), x,
                             values=None if lead is None else values)
     return CheckResult(name, err, OP_TOL)
 
@@ -238,8 +236,8 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
     """Perturb every parameter coordinate of the toy model, indices frozen.
 
     Each chunk of a parameter's ±h copies is one stacked forward, except for
-    layer L and the head: the fused tokens are computed once, and their
-    copies run ``model._final`` over those tokens repeated once per copy.
+    layer L and the head: their copies run ``model._final`` over the taped
+    forward's fused tokens, repeated once per copy.
     """
     cfg = toy_config()
     rng = _rng(seed)
@@ -248,21 +246,13 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
                    dtype=np.float64)
     label = 1
 
-    # the one taped forward runs the selector; every copy reuses its selections
+    # the one taped forward runs the selector and gives the fused tokens; every
+    # copy reuses its selections, and no parameter of layer L or the head moves
+    # the tokens layer L reads
     with Tape() as tape:
         taped = model.forward(image)
         tape.backward(T.cross_entropy(taped.logits, label))
-
-    def stacked_forward(n: int):
-        """One forward of ``n`` copies of the image with the taped forward's selections."""
-        images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
-        stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
-                                   np.broadcast_to(s.weights, (n, *s.weights.shape)))
-                   for s in taped.selections]
-        return model.forward(images, frozen_selections=stacked)
-
-    # no parameter of layer L or the head moves the tokens layer L reads
-    fused = stacked_forward(1).fused.tokens.data
+    fused = taped.fused.tokens.data[None]
     late = {id(p) for p in (*model.layers[-1].values(), *model.head.values())}
 
     def losses(param: Tensor, copies: np.ndarray) -> np.ndarray:
@@ -276,7 +266,11 @@ def end_to_end_check(seed: int = 0) -> list[CheckResult]:
             if id(param) in late:
                 logits = model._final(Tensor._wrap(np.repeat(fused, n, axis=0)))
             else:
-                logits = stacked_forward(n).logits
+                images = Tensor._wrap(np.repeat(image.data[None], n, axis=0))
+                stacked = [SelectionResult(np.broadcast_to(s.indices, (n, *s.indices.shape)),
+                                           np.broadcast_to(s.weights, (n, *s.weights.shape)))
+                           for s in taped.selections]
+                logits = model.forward(images, frozen_selections=stacked).logits
             return T.cross_entropy(logits, np.full(n, label)).data
         finally:
             param.data = saved

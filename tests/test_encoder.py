@@ -41,6 +41,8 @@ def overflowing_layer():
     # str(None) is "none", which would build the ablation arm
     (lambda: ModelConfig(selector=None), ConfigError,
      "selector must be one of ('none', 'saws', 'maws'), got None"),
+    (lambda: ModelConfig(selector="MAWS"), ConfigError,
+     "selector must be one of ('none', 'saws', 'maws'), got 'MAWS'"),
     (lambda: ModelConfig(image_h=16, image_w=4, patch_size=8, k=1), ConfigError,
      "patch size 8 too large for 16x4 images"),
     (lambda: patchify(t64(np.zeros((4, 4))), 2), ShapeError,
@@ -55,8 +57,8 @@ def overflowing_layer():
      "non-finite values in attention output of layer 4"),
     (lambda: FuseVitModel.build(ModelConfig(), np.float16), ConfigError,
      "model dtype must be float32 or float64, got float16"),
-], ids=["negative-seed", "head-layers", "selector-None", "patch-too-large", "patchify-rank",
-        "msa-width", "msa-layer", "msa-block", "layer-L", "model-dtype"])
+], ids=["negative-seed", "head-layers", "selector-None", "selector-case", "patch-too-large",
+        "patchify-rank", "msa-width", "msa-layer", "msa-block", "layer-L", "model-dtype"])
 def test_bad_input_raises_typed_error(call, error, message):
     with np.errstate(over="ignore"), pytest.raises(error) as info:
         call()

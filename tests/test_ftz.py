@@ -128,6 +128,7 @@ def test_serialization_is_deterministic():
     b'{"dtype":["f32"],"shape":[2]}',
     b'{"dtype":{"f32":1},"shape":[2]}',
     b'{"dtype":"f32","shape":[2]\xff}',
+    b'{"dtype":"f64"}',  # no shape, with a scalar's 8 payload bytes
     pytest.param(b"[" * 100_000, id="nested-100k-deep"),
 ])
 def test_malformed_header_rejected(header):

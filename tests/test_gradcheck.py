@@ -99,6 +99,16 @@ class TestCentralDifference:
         assert {"pass": err < OP_TOL, "fail": err > 0.5,
                 "nan": math.isnan(err)}[verdict], err
 
+    def test_base_point_evaluated_once_untaped_and_once_taped(self):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return T.sum_all(T.mul(x, x))
+
+        finite_diff_check(counted, t64([1.0, -2.0, 0.5]))
+        assert len(calls) == 2 + 2 * 3  # the base point twice, then each coordinate ±h
+
     def test_zero_d_input(self):
         err = finite_diff_check(lambda x: T.mul(x, x), t64(3.0))
         assert err < 1e-8
@@ -193,8 +203,8 @@ def test_stacked_losses_equal_one_image_losses(monkeypatch, seed):
 
 def test_late_parameters_rerun_only_the_final_layer(monkeypatch):
     # the fused tokens do not depend on layer L or the head, so each chunk of their
-    # copies is one direct _final call; the other parameters' 24 chunks, the taped
-    # forward (which runs the selector) and the one-copy forward of the fused tokens
+    # copies is one direct _final call over the taped forward's fused tokens; the
+    # other parameters' 24 chunks and the taped forward (which runs the selector)
     # run forward, which calls _final once itself
     calls = {"forward": 0, "_final": 0}
 
@@ -209,7 +219,7 @@ def test_late_parameters_rerun_only_the_final_layer(monkeypatch):
     counted("forward")
     counted("_final")
     end_to_end_check(0)
-    assert calls == {"forward": 26, "_final": 26 + 18}
+    assert calls == {"forward": 25, "_final": 25 + 18}
 
 
 def test_end_to_end_passes_on_many_seeds():

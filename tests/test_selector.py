@@ -175,7 +175,9 @@ class TestSelectPerLayer:
     # str(None) is "none", which would run first_k
     (lambda: select_per_layer(random_trace(np.random.default_rng(0), 1, 3), 1, None),
      ConfigError, "selector kind must be one of ('none', 'saws', 'maws'), got None"),
-], ids=["non-square", "vector", "unknown-kind", "kind-None"])
+    (lambda: select_per_layer(random_trace(np.random.default_rng(0), 1, 3), 1, "MAWS"),
+     ConfigError, "selector kind must be one of ('none', 'saws', 'maws'), got 'MAWS'"),
+], ids=["non-square", "vector", "unknown-kind", "kind-None", "kind-case"])
 def test_bad_input_raises_typed_error(call, error, message):
     with pytest.raises(error) as info:
         call()
