@@ -20,8 +20,7 @@ import numpy as np
 from . import ftz
 from .data import AugmentConfig, SynthSpec, generate_synth, load_dataset, save_dataset
 from .encoder import ModelConfig
-from .errors import (ConfigError, FtzError, FuseVitError, NumericError, ShapeError,
-                     TraceMismatchError)
+from .errors import ConfigError, FtzError, FuseVitError, ShapeError, TraceMismatchError
 from .gradcheck import format_report, run_suite
 from .model import FuseVitModel, load_checkpoint, save_checkpoint
 from .selector import REGISTRY, selection_trace_lines
@@ -79,6 +78,9 @@ class RunConfig:
             merged.update(loaded)
         merged.update({k: v for k, v in overrides.items() if v is not None})
         ftz.check_types(cls, merged, "config")
+        for name in ("dataset", "out", "checkpoint", "image"):  # only a file can hold NUL
+            if "\0" in (merged[name] or ""):
+                raise ConfigError(f"config {name} must not hold a NUL byte")
         return cls(**merged)
 
     # ---- derived configs ----
@@ -277,11 +279,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         raise ConfigError(
             f"image shape {img.shape} does not match checkpoint input {expected}")
 
-    # a diverged model ends in msa's finite check or the logits check, not in warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = model.forward(img)
-    if not np.isfinite(result.logits.data).all():
-        raise NumericError("non-finite logits")
+    result = model.forward(img)
     out.mkdir(parents=True, exist_ok=True)
     lines = selection_trace_lines(result.selections, model.cfg.selector)
     (out / "selections.jsonl").write_text("\n".join(lines) + "\n")

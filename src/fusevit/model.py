@@ -28,7 +28,7 @@ from .encoder import (
     forward_collect,
     patchify,
 )
-from .errors import ConfigError, ShapeError, TraceMismatchError
+from .errors import ConfigError, NumericError, ShapeError, TraceMismatchError
 from .selector import SelectionResult, select_per_layer
 from .tensor import (
     Tensor,
@@ -209,8 +209,12 @@ class FuseVitModel:
         x = encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers)
         x = layer_norm(x, self.head["ln.gamma"], self.head["ln.beta"])
         x = add(matmul(x, self.head["0.w"]), self.head["0.b"])
+        # the forwards silence numpy's warnings: a diverged model ends here or in msa
+        if not np.isfinite(x.data).all():
+            raise NumericError("non-finite logits")
         return reshape(x, (*tokens.data.shape[:-2], cfg.num_classes))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def forward(self, image, frozen_selections: list[SelectionResult] | None = None
                 ) -> ForwardResult:
         """Full selective-fusion forward pass.
@@ -236,6 +240,7 @@ class FuseVitModel:
         return ForwardResult(logits=self._final(fused.tokens), trace=trace,
                              selections=selections, fused=fused)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def plain_forward(self, image) -> Tensor:
         """Ablation baseline: all L layers over the full token sequence."""
         return self._final(self._encode(image).hidden[-1])

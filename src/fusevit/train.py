@@ -171,8 +171,6 @@ class EvalReport:
     mean_loss: float
 
 
-# a diverged model ends in msa's finite check or the logits check, not in warnings
-@np.errstate(over="ignore", invalid="ignore")
 def evaluate(model, image_set: ImageSet, num_classes: int,
              aug: AugmentConfig | None = None) -> EvalReport:
     """Center-crop evaluation in stacks of ``chunk_size`` images, one
@@ -195,8 +193,6 @@ def evaluate(model, image_set: ImageSet, num_classes: int,
         logits = np.asarray(model.forward(images).logits.data, dtype=np.float64)
         if logits.shape[-1] != num_classes:
             raise ConfigError(f"model has {logits.shape[-1]} classes, dataset has {num_classes}")
-        if not np.isfinite(logits).all():
-            raise NumericError("non-finite logits in evaluation")
         for loss in cross_entropy(Tensor._wrap(logits), labels).data.tolist():
             loss_sum += loss
         np.add.at(totals, labels, 1)

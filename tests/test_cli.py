@@ -100,6 +100,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             RunConfig.from_sources(str(path), {})
 
+    @pytest.mark.parametrize("name", ["dataset", "out", "checkpoint", "image"])
+    def test_nul_byte_in_a_path_rejected(self, tmp_path, name):
+        # a flag cannot hold a NUL byte, a config file can
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({name: "o\0ut"}))
+        with pytest.raises(ConfigError) as info:
+            RunConfig.from_sources(str(path), {})
+        assert str(info.value) == f"config {name} must not hold a NUL byte"
+
     def test_missing_config_file_rejected(self, tmp_path):
         for path in ("/nonexistent/cfg.json", tmp_path):  # tmp_path is a directory
             with pytest.raises(ConfigError, match="not found"):
@@ -580,6 +589,16 @@ class TestOutPath:
         assert [p.name for p in (tmp_path / "full").iterdir()] == ["manifest.json"]
         assert (tmp_path / "afile").read_text() == "kept"
         assert (tmp_path / "full" / "manifest.json").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["gen", "train", "compare", "inspect"])
+    def test_nul_byte_in_a_config_out_is_one_error_line(self, command, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out": str(tmp_path / "o\0ut")}))
+        code = run_cli(command, "--config", str(config), "--dataset", str(tmp_path / "ds"),
+                       "--checkpoint", str(tmp_path / "ckpt"), "--image", str(tmp_path / "i.ftz"))
+        assert code == 1
+        assert capsys.readouterr().err == "error: config out must not hold a NUL byte\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def edited(change):

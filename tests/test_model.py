@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import plain_vit, random_trace
 from fusevit.encoder import ModelConfig
-from fusevit.errors import ConfigError, TraceMismatchError
+from fusevit.errors import ConfigError, NumericError, TraceMismatchError
 from fusevit.gradcheck import toy_config
 from fusevit.model import (
     FuseVitModel,
@@ -228,6 +228,22 @@ class TestForwardPasses:
         for shape in [(16, 16, 1), (2, 16, 16, 1), (32, 32), (1, 2, 32, 32, 1)]:
             with pytest.raises(Exception, match="shape"):
                 model.forward(np.zeros(shape, dtype=np.float32))
+
+    @pytest.mark.parametrize("run", [
+        lambda m, shape: m.forward(np.zeros(shape, dtype=np.float32)).logits,
+        lambda m, shape: m.plain_forward(np.zeros(shape, dtype=np.float32)),
+    ], ids=["forward", "plain_forward"])
+    @pytest.mark.parametrize("shape", [(32, 32, 1), (3, 32, 32, 1)], ids=["image", "stack"])
+    def test_overflowing_head_is_numeric_error(self, run, shape):
+        # the head reads a row of ones through weights of 1e38: every logit is
+        # inf, which is the model's error and not a RuntimeWarning
+        model = FuseVitModel.build(toy_cfg())
+        model.head["ln.gamma"].data[:] = 0.0
+        model.head["ln.beta"].data[:] = 1.0
+        model.head["0.w"].data[...] = 1e38
+        with pytest.raises(NumericError) as info:
+            run(model, shape)
+        assert str(info.value) == "non-finite logits"
 
 
 class TestGradientFlow:

@@ -117,13 +117,18 @@ def train_without_images():
     train(model, replace(ds, train=empty), tcfg)
 
 
-def with_infinite_logits(run):
-    # the head reads a row of ones through weights of 1e38: every logit is inf
+def with_head_weights(run, w):
+    # the head reads a row of ones through weights ``w``, so logit c is the sum
+    # of w's column c: with 1e38 every logit is inf
     model, ds, tcfg = tiny_setup()
     model.head["ln.gamma"].data[:] = 0.0
     model.head["ln.beta"].data[:] = 1.0
-    model.head["0.w"].data[...] = 1e38
+    model.head["0.w"].data[...] = w
     run(model, ds, tcfg)
+
+
+# finite logits 3.3e38, -3.3e38 and 0 (D = 8), 6.6e38 apart: the loss overflows f32
+OVERFLOWING_LOSS = np.array([3.3e38, -3.3e38, 0.0]) / 8
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -134,13 +139,16 @@ def with_infinite_logits(run):
     (lambda: sgd_step([np.zeros(2)], [], [np.zeros(2)], 0.1, 0.9), ConfigError,
      "params, grads, velocities must align"),
     (train_without_images, ConfigError, "training set is empty"),
-    (lambda: with_infinite_logits(train), NumericError, "non-finite loss at step 0"),
-    (lambda: with_infinite_logits(lambda m, ds, t: evaluate(m, ds.test, 3, t.augment)),
-     NumericError, "non-finite logits in evaluation"),
+    (lambda: with_head_weights(train, OVERFLOWING_LOSS), NumericError,
+     "non-finite loss at step 0"),
+    (lambda: with_head_weights(train, 1e38), NumericError, "non-finite logits at step 0"),
+    (lambda: with_head_weights(lambda m, ds, t: evaluate(m, ds.test, 3, t.augment), 1e38),
+     NumericError, "non-finite logits"),
 ], ids=["total-steps", "batch-size", "negative-seed", "cosine-total", "sgd-misaligned", "empty-train",
-        "non-finite-loss", "non-finite-logits"])
+        "non-finite-loss", "non-finite-logits-train", "non-finite-logits"])
 def test_bad_input_raises_typed_error(call, error, message):
-    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error) as info:
+    # no np.errstate here: train and the model's forwards keep numpy's warnings off
+    with pytest.raises(error) as info:
         call()
     assert str(info.value) == message
 
