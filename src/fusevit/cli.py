@@ -236,8 +236,8 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
     """Train the three arms from identical seeds and collect accuracies.
 
     ``build`` draws the same parameters whatever the selector, so the initial
-    loss, the mean test loss of the untrained ``none`` arm on the raw test
-    images, is measured once and is every arm's.
+    loss, the untrained ``none`` arm's mean test loss on the images the
+    accuracies see (``tcfg.augment``), is measured once and is every arm's.
     """
     model_cfg = cfg.model_config(dataset.num_classes)
     tcfg = cfg.train_config()
@@ -245,7 +245,7 @@ def run_comparison(cfg: RunConfig, dataset) -> ComparisonReport:
     for variant in REGISTRY:
         model = FuseVitModel.build(replace(model_cfg, selector=variant))
         if variant == "none":  # the order matters: evaluated before ``train`` moves it
-            init_loss = evaluate(model, dataset.test, dataset.num_classes).mean_loss
+            init_loss = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment).mean_loss
         train(model, dataset, tcfg)
         test_report = evaluate(model, dataset.test, dataset.num_classes, tcfg.augment)
         train_report = evaluate(model, dataset.train, dataset.num_classes, tcfg.augment)

@@ -217,7 +217,7 @@ def load_dataset(directory) -> SynthDataset:
         if type(label) is not int or not 0 <= label < spec.num_classes:
             raise ConfigError(f"item {item['file']!r} has label {label!r} outside "
                               f"[0, {spec.num_classes})")
-        path = directory / item["file"]
+        path = ftz.entry_path(directory, item["file"], "dataset")
         image = ftz.read(path, np.float32)
         if image.shape != expected:
             raise ConfigError(f"{path}: image shape {image.shape} does not match "

@@ -148,8 +148,7 @@ def embed(patches: Tensor, pe: dict[str, Tensor]) -> Tensor:
     return add(tokens, pe["E_pos"])
 
 
-def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None,
-        queries: int | None = None):
+def msa(z: Tensor, layer: dict[str, Tensor], heads: int, queries: int | None = None):
     """Pre-norm multi-head self-attention with residual over ``z``, ``(S, D)`` or a
     stack ``(..., S, D)``; returns ``(out, scores)``, the scores ``attention``'s.
     With ``queries``, only the first that many rows issue queries, and ``out``
@@ -159,11 +158,7 @@ def msa(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None
                                  queries)
     if queries is not None:
         z = gather_rows(z, np.broadcast_to(np.arange(queries), (*z.shape[:-2], queries)))
-    out = add(z, attended)
-    if not np.isfinite(out.data).all():
-        where = f"layer {layer_index}" if layer_index is not None else "attention block"
-        raise NumericError(f"non-finite values in attention output of {where}")
-    return out, scores
+    return add(z, attended), scores
 
 
 def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
@@ -171,17 +166,20 @@ def mlp(z: Tensor, layer: dict[str, Tensor]) -> Tensor:
     return feedforward(z, (layer["mlp.w1"], layer["mlp.b1"], layer["mlp.w2"], layer["mlp.b2"]))
 
 
-def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int | None = None,
+def _block(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int,
            queries: int | None = None):
     """Full transformer block; returns (output, attention scores). With ``queries``,
-    only the first that many rows issue queries, and the output holds those rows."""
-    attended, scores = msa(z, layer, heads, layer_index, queries)
+    only the first that many rows issue queries, and the output holds those rows.
+    An output that is not finite is a ``NumericError`` naming ``layer_index``."""
+    attended, scores = msa(z, layer, heads, queries)
     normed = layer_norm(attended, layer["ln2.gamma"], layer["ln2.beta"])
-    return add(attended, mlp(normed, layer)), scores
+    out = add(attended, mlp(normed, layer))
+    if not np.isfinite(out.data).all():
+        raise NumericError(f"non-finite values in the output of layer {layer_index}")
+    return out, scores
 
 
-def encoder_layer(z: Tensor, layer: dict[str, Tensor], heads: int,
-                  layer_index: int | None = None) -> Tensor:
+def encoder_layer(z: Tensor, layer: dict[str, Tensor], heads: int, layer_index: int) -> Tensor:
     """Layer L, of which the head reads only the class token: ``_block``'s row 0,
     ``(..., 1, D)``, that row the one query against every row (CaiT's class attention)."""
     return _block(z, layer, heads, layer_index, queries=1)[0]

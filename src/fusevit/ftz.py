@@ -123,6 +123,13 @@ def read_manifest(path, what: str) -> dict:
     return json_object(path.read_bytes(), f"{what} manifest {path}")
 
 
+def entry_path(directory: Path, name: str, what: str) -> Path:
+    """``directory / name``, refused unless ``name`` is a plain file name in it."""
+    if name in ("", "..") or Path(name).name != name:
+        raise ConfigError(f"{what} manifest entry {name!r} is not a plain file name")
+    return directory / name
+
+
 def build_from(cls, values, what: str):
     """Instantiate dataclass ``cls`` from a manifest entry naming exactly its fields."""
     if not isinstance(values, dict):

@@ -209,7 +209,7 @@ class FuseVitModel:
         x = encoder_layer(tokens, self.layers[-1], cfg.heads, layer_index=cfg.layers)
         x = layer_norm(x, self.head["ln.gamma"], self.head["ln.beta"])
         x = add(matmul(x, self.head["0.w"]), self.head["0.b"])
-        # the forwards silence numpy's warnings: a diverged model ends here or in msa
+        # the forwards silence numpy's warnings: a diverged model ends here or in _block
         if not np.isfinite(x.data).all():
             raise NumericError("non-finite logits")
         return reshape(x, (*tokens.data.shape[:-2], cfg.num_classes))
@@ -288,7 +288,7 @@ def load_checkpoint(directory) -> FuseVitModel:
     def read(name, shape, _init):
         if not isinstance(files[name], str):
             raise ConfigError(f"checkpoint params {name} must name a file, got {files[name]!r}")
-        arr = ftz.read(directory / files[name], dtype)
+        arr = ftz.read(ftz.entry_path(directory, files[name], "checkpoint"), dtype)
         if arr.shape != shape:
             raise ConfigError(
                 f"checkpoint tensor {name} has shape {arr.shape}, config implies {shape}")

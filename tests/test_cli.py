@@ -21,6 +21,7 @@ from fusevit.gradcheck import CheckResult, end_to_end_check, format_report, op_c
 from fusevit.encoder import ModelConfig
 from fusevit.model import FuseVitModel, save_checkpoint
 from fusevit.selector import REGISTRY, maws
+from fusevit.train import evaluate
 from fusevit.errors import ConfigError
 
 
@@ -315,8 +316,30 @@ class TestCompare:
         assert model_cfg == untrained
         assert params == {n: p.data.tobytes()
                           for n, p in FuseVitModel.build(untrained).named_parameters()}
-        assert len(args) == 2 and args[0] is dataset.test  # raw images, no augment
+        # the test images as the accuracies see them
+        assert args == (dataset.test, dataset.num_classes, cfg.train_config().augment)
         assert report.init_loss == init.mean_loss
+
+    def test_initial_loss_sees_the_resized_test_images(self, tmp_path):
+        dataset = load_dataset(gen_dataset(tmp_path))
+        cfg = RunConfig(image_size=16, resize_to=20, patch=8, dim=8, layers=2, heads=2,
+                        mlp_dim=16, k=2, steps=1, batch=2)
+        untrained = FuseVitModel.build(
+            replace(cfg.model_config(dataset.num_classes), selector="none"))
+        resized = evaluate(untrained, dataset.test, dataset.num_classes,
+                           cfg.train_config().augment)
+        assert run_comparison(cfg, dataset).init_loss == resized.mean_loss
+
+    def test_dataset_of_another_side_is_resized(self, tmp_path, capsys):
+        # 64 px images for a 16 px model, as train and eval accept them
+        ds = gen_dataset(tmp_path, "--image-size", "64")
+        out = tmp_path / "cmp"
+        capsys.readouterr()
+        code = run_cli("compare", "--dataset", str(ds), "--out", str(out),
+                       "--image-size", "16", *TINY_MODEL, *TINY_TRAIN)
+        assert capsys.readouterr().err == ""
+        assert code == 0
+        assert len((out / "comparison.csv").read_text().strip().split("\n")) == 4
 
 
 class TestInspect:
@@ -358,9 +381,9 @@ class TestInspect:
 
     @pytest.mark.parametrize("names, factor, message", [
         (("layer.1.wq", "layer.1.wk"), 1e25,
-         "error: non-finite values in attention output of layer 1"),
+         "error: non-finite values in the output of layer 1"),
         (("layer.2.wq", "layer.2.wk"), 1e25,
-         "error: non-finite values in attention output of layer 2"),
+         "error: non-finite values in the output of layer 2"),
         (("head.ln.gamma", "head.0.w"), 1e30, "error: non-finite logits"),
     ], ids=["attention", "attention-layer-L", "head"])
     def test_overflowing_weights_print_one_error_line(self, tmp_path, capsys, names,
@@ -693,6 +716,31 @@ class TestManifestBoundary:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == 1
         assert err == [f"error: no FTZ file at {tmp_path / which / name}"]
+
+    # each entry but the last three names a copy of the file it replaces,
+    # which the loader used to read
+    @pytest.mark.parametrize("entry", [
+        lambda d, name: str(d / "sub" / name), lambda d, name: f"../{d.name}/{name}",
+        lambda d, name: f"sub/{name}", lambda d, name: "", lambda d, name: ".",
+        lambda d, name: ".."], ids=["absolute", "parent", "subdir", "empty", "dot", "dotdot"])
+    @pytest.mark.parametrize("which", ["ds", "checkpoint"])
+    def test_entry_outside_its_directory_reports_one_error_line(self, which, entry, trained,
+                                                                tmp_path, capsys):
+        ds, ckpt = (shutil.copytree(p, tmp_path / p.name) for p in trained)
+        directory = tmp_path / which
+        manifest = json.loads((directory / "manifest.json").read_text())
+        entries = manifest["items"][0] if which == "ds" else manifest["params"]
+        key = "file" if which == "ds" else "layer.1.wq"
+        (directory / "sub").mkdir()
+        shutil.copy(directory / entries[key], directory / "sub")
+        entries[key] = entry(directory, entries[key])
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt))
+        what = "dataset" if which == "ds" else "checkpoint"
+        assert capsys.readouterr().err == (
+            f"error: {what} manifest entry {entries[key]!r} is not a plain file name\n")
+        assert code == 1
 
     @pytest.mark.parametrize("which, name", [("ds", "train_00001.ftz"),
                                              ("checkpoint", "layer.2.mlp.w1.ftz")])

@@ -183,8 +183,8 @@ class TestForwardPasses:
         rng = np.random.default_rng(13)
         image = Tensor(rng.uniform(0, 1, (32, 32, 1)), dtype=np.float64)
         z = embed(patchify(image, cfg.patch_size), model.embedder)
-        for layer in model.layers:
-            z, _ = _block(z, layer, cfg.heads)
+        for i, layer in enumerate(model.layers, start=1):
+            z, _ = _block(z, layer, cfg.heads, i)
         head = model.head
         x = layer_norm(Tensor._wrap(z.data[:1]), head["ln.gamma"], head["ln.beta"])
         expected = add(matmul(x, head["0.w"]), head["0.b"]).data[0]
@@ -244,6 +244,17 @@ class TestForwardPasses:
         with pytest.raises(NumericError) as info:
             run(model, shape)
         assert str(info.value) == "non-finite logits"
+
+    @pytest.mark.parametrize("index", [1, 2, 3])
+    def test_overflowing_mlp_names_its_own_layer(self, index):
+        # the block checks its own output, so the layer whose MLP overflows is the
+        # one named, not the next layer, and no RuntimeWarning escapes the forward
+        model = FuseVitModel.build(toy_cfg(layers=4))
+        model.layers[index - 1]["mlp.b2"].data[:] = 3.3e38
+        model.layers[index - 1]["mlp.w2"].data[...] = 1e38
+        with pytest.raises(NumericError) as info:
+            model.forward(np.zeros((32, 32, 1), dtype=np.float32))
+        assert str(info.value) == f"non-finite values in the output of layer {index}"
 
 
 class TestGradientFlow:
