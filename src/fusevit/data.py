@@ -11,7 +11,7 @@ Images are single-channel HxWx1 float32 arrays.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,7 +46,7 @@ class SynthSpec:
         if not 0.0 < self.signal_amplitude <= 1.0:
             raise ConfigError(
                 f"signal_amplitude must be in (0, 1], got {self.signal_amplitude}")
-        if not np.isfinite(self.noise_std) or self.noise_std < 0:
+        if not math.isfinite(self.noise_std) or self.noise_std < 0:
             raise ConfigError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.signal_patch_count > SIGNAL_GRID * SIGNAL_GRID:
             raise ConfigError(
@@ -186,11 +186,8 @@ def save_dataset(dataset: SynthDataset, directory) -> None:
             ftz.write(directory / filename, split.images[i])
             items.append({"file": filename, "label": int(split.labels[i]),
                           "split": split_name})
-    manifest = {"classes": dataset.num_classes,
-                "spec": dataset.spec.__dict__,
-                "items": items}
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    ftz.write_manifest(directory, {"classes": dataset.num_classes,
+                                   "spec": dataset.spec.__dict__, "items": items})
 
 
 def load_dataset(directory) -> SynthDataset:
@@ -217,11 +214,10 @@ def load_dataset(directory) -> SynthDataset:
         if type(label) is not int or not 0 <= label < spec.num_classes:
             raise ConfigError(f"item {item['file']!r} has label {label!r} outside "
                               f"[0, {spec.num_classes})")
-        path = ftz.entry_path(directory, item["file"], "dataset")
-        image = ftz.read(path, np.float32)
+        image = ftz.read_entry(directory, item["file"], "dataset", np.float32)
         if image.shape != expected:
-            raise ConfigError(f"{path}: image shape {image.shape} does not match "
-                              f"the spec's {expected}")
+            raise ConfigError(f"{directory / item['file']}: image shape {image.shape} "
+                              f"does not match the spec's {expected}")
         images, labels = splits[split]
         images.append(image)
         labels.append(label)

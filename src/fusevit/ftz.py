@@ -8,8 +8,9 @@ Layout, byte for byte:
 * payload: row-major finite scalars, little-endian, f32 or f64 per the header
 
 Used for weights, dataset images, and attention dumps. Dataset and
-checkpoint directories list their FTZ files in a ``manifest.json``, read by
-``read_manifest``; ``build_from`` turns its ``spec`` or ``config`` entry into
+checkpoint directories list their FTZ files in a ``manifest.json``, written by
+``write_manifest`` and read by ``read_manifest``; ``read_entry`` reads the file
+one entry names, and ``build_from`` turns the ``spec`` or ``config`` entry into
 a dataclass after ``check_types`` has checked every value's type.
 """
 
@@ -31,6 +32,8 @@ MAGIC = b"FFVTTNSR"
 # FTZ dtype names (a checkpoint manifest's "dtype" too): name -> stored, native -> name
 DTYPES = {"f32": np.dtype("<f4"), "f64": np.dtype("<f8")}
 NAMES = {np.dtype(np.float32): "f32", np.dtype(np.float64): "f64"}
+# the least int that float() refuses: the largest double plus half its ulp rounds to inf
+FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def dumps(array: np.ndarray) -> bytes:
@@ -123,11 +126,16 @@ def read_manifest(path, what: str) -> dict:
     return json_object(path.read_bytes(), f"{what} manifest {path}")
 
 
-def entry_path(directory: Path, name: str, what: str) -> Path:
-    """``directory / name``, refused unless ``name`` is a plain file name in it."""
-    if name in ("", "..") or Path(name).name != name:
+def write_manifest(directory: Path, manifest: dict) -> None:
+    (directory / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def read_entry(directory: Path, name, what: str, dtype) -> np.ndarray:
+    """The FTZ file ``directory / name``, refused unless ``name`` is a plain file name."""
+    if type(name) is not str or name in ("", "..") or "\0" in name or Path(name).name != name:
         raise ConfigError(f"{what} manifest entry {name!r} is not a plain file name")
-    return directory / name
+    return read(directory / name, dtype)
 
 
 def build_from(cls, values, what: str):
@@ -154,7 +162,7 @@ def field_types(cls) -> dict[str, tuple[type, bool]]:
 
 def check_types(cls, values: dict, what: str) -> None:
     """ConfigError unless every value fits its field of ``cls``: a bool is not
-    an int, an int is fine for a float, and None only for ``T | None``."""
+    an int, an int that a float can hold is fine for a float, and None only for ``T | None``."""
     for name, (kind, optional) in field_types(cls).items():
         value = values[name]
         if value is None:
@@ -164,3 +172,5 @@ def check_types(cls, values: dict, what: str) -> None:
         if not ok:
             expected = kind.__name__ + (" or null" if optional else "")
             raise ConfigError(f"{what} {name} must be {expected}, got {value!r}")
+        if kind is float and type(value) is int and abs(value) >= FLOAT_OVERFLOW:
+            raise ConfigError(f"{what} {name} must be float, got an int too large for one")

@@ -13,7 +13,6 @@ gathered token values only.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-import json
 from pathlib import Path
 from typing import Iterator
 
@@ -99,27 +98,27 @@ def fuse(trace: EncoderTrace, selections: list[SelectionResult]) -> FusedSequenc
 INIT_STD = 0.02
 
 
-def parameter_shapes(cfg: ModelConfig) -> list[tuple[str, str, tuple[int, ...], str]]:
+def parameter_shapes(cfg: ModelConfig) -> Iterator[tuple[str, str, tuple[int, ...], str]]:
     """Every parameter as ``(group, key, shape, init)``, in checkpoint order.
 
     The checkpoint name is ``group.key``; ``init`` is "zeros", "ones" or
     "normal", which ``build`` draws with ``trunc_normal`` in this order.
     """
     d, m = cfg.embed_dim, cfg.mlp_dim
-    table = [("embed", "E", (cfg.patch_dim, d), "normal"),
-             ("embed", "E_pos", (cfg.seq_len, d), "normal"),  # row 0: class-token slot
-             ("embed", "x_class", (d,), "normal")]
+    yield "embed", "E", (cfg.patch_dim, d), "normal"
+    yield "embed", "E_pos", (cfg.seq_len, d), "normal"  # row 0: class-token slot
+    yield "embed", "x_class", (d,), "normal"
     for i in range(1, cfg.layers + 1):
-        table += [(f"layer.{i}", key, shape, init) for key, shape, init in (
+        yield from ((f"layer.{i}", key, shape, init) for key, shape, init in (
             ("ln1.gamma", (d,), "ones"), ("ln1.beta", (d,), "zeros"),
             ("wq", (d, d), "normal"), ("wk", (d, d), "normal"),
             ("wv", (d, d), "normal"), ("wo", (d, d), "normal"),
             ("ln2.gamma", (d,), "ones"), ("ln2.beta", (d,), "zeros"),
             ("mlp.w1", (d, m), "normal"), ("mlp.b1", (m,), "zeros"),
-            ("mlp.w2", (m, d), "normal"), ("mlp.b2", (d,), "zeros"))]
-    return table + [("head", "ln.gamma", (d,), "ones"), ("head", "ln.beta", (d,), "zeros"),
-                    ("head", "0.w", (d, cfg.num_classes), "normal"),
-                    ("head", "0.b", (cfg.num_classes,), "zeros")]
+            ("mlp.w2", (m, d), "normal"), ("mlp.b2", (d,), "zeros")))
+    yield from (("head", "ln.gamma", (d,), "ones"), ("head", "ln.beta", (d,), "zeros"),
+                ("head", "0.w", (d, cfg.num_classes), "normal"),
+                ("head", "0.b", (cfg.num_classes,), "zeros"))
 
 
 def trunc_normal(rng: np.random.Generator, shape) -> np.ndarray:
@@ -258,13 +257,8 @@ def save_checkpoint(model: FuseVitModel, directory) -> None:
         filename = f"{name}.ftz"
         ftz.write(directory / filename, tensor.data)
         params[name] = filename
-    manifest = {
-        "config": asdict(model.cfg),
-        "dtype": ftz.NAMES[model.dtype],
-        "params": params,
-    }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    ftz.write_manifest(directory, {"config": asdict(model.cfg),
+                                   "dtype": ftz.NAMES[model.dtype], "params": params})
 
 
 def load_checkpoint(directory) -> FuseVitModel:
@@ -278,20 +272,20 @@ def load_checkpoint(directory) -> FuseVitModel:
     if type(dtype_name) is not str or dtype_name not in ftz.DTYPES:  # a list is unhashable
         raise ConfigError(f'checkpoint dtype must be "f32" or "f64", got {dtype_name!r}')
     dtype = ftz.DTYPES[dtype_name].newbyteorder("=")
-    names = {f"{group}.{key}" for group, key, _, _ in parameter_shapes(cfg)}
-    missing = sorted(names - set(files))
-    extra = sorted(set(files) - names)
-    if missing or extra:
-        raise ConfigError(
-            f"checkpoint/config mismatch: missing params {missing}, unknown {extra}")
+    unread = set(files)
 
     def read(name, shape, _init):
-        if not isinstance(files[name], str):
-            raise ConfigError(f"checkpoint params {name} must name a file, got {files[name]!r}")
-        arr = ftz.read(ftz.entry_path(directory, files[name], "checkpoint"), dtype)
+        if name not in files:
+            raise ConfigError(f"checkpoint params miss {name}, which the config implies")
+        unread.discard(name)
+        arr = ftz.read_entry(directory, files[name], "checkpoint", dtype)
         if arr.shape != shape:
             raise ConfigError(
                 f"checkpoint tensor {name} has shape {arr.shape}, config implies {shape}")
         return arr
 
-    return FuseVitModel(cfg, read, dtype)
+    model = FuseVitModel(cfg, read, dtype)
+    if unread:
+        raise ConfigError(f"checkpoint params name {len(unread)} tensor(s) the config "
+                          f"does not imply, the first {min(unread)}")
+    return model

@@ -73,6 +73,9 @@ class TestRunConfig:
     @pytest.mark.parametrize("values", [
         {"steps": "5"}, {"steps": 5.0}, {"layers": True}, {"steps": None},
         {"flip": 1}, {"selector": None}, {"dataset": 3}, {"lr": "0.1"},
+        # ints that float() cannot hold
+        {"lr": 10**400}, {"momentum": -10**400}, {"amplitude": 10**400},
+        {"noise_std": 2**1024 - 2**970},
     ])
     def test_wrongly_typed_value_rejected(self, tmp_path, values):
         path = tmp_path / "cfg.json"
@@ -86,6 +89,9 @@ class TestRunConfig:
         path.write_text(json.dumps({"lr": 1, "mlp_dim": None, "resize_to": 16}))
         cfg = RunConfig.from_sources(str(path), {})
         assert (cfg.lr, cfg.mlp_dim, cfg.resize_to) == (1, None, 16)
+        # the largest int that float() holds: it rounds to the largest double
+        path.write_text(json.dumps({"momentum": 2**1024 - 2**970 - 1}))
+        assert RunConfig.from_sources(str(path), {}).momentum == 2**1024 - 2**970 - 1
 
     def test_config_file_must_hold_an_object(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -623,6 +629,38 @@ class TestOutPath:
         assert capsys.readouterr().err == "error: config out must not hold a NUL byte\n"
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("command, name", [("train", "lr"), ("gen", "noise_std")])
+    def test_int_too_large_for_a_float_is_one_error_line(self, command, name, tmp_path,
+                                                         capsys):
+        # 401 digits: float() overflows, where the run used to end in a traceback
+        ds = gen_dataset(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({name: 10**400}))
+        capsys.readouterr()
+        code = run_cli(command, "--config", str(config), "--dataset", str(ds),
+                       "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: config {name} must be float, got an int too large for one\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_large_int_noise_std_generates_as_its_float(self, tmp_path):
+        # 10**20 is too large for numpy's ints but not for a float: the same
+        # images as --noise-std 1e20, and the manifest keeps the int it was given
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"noise_std": 10**20}))
+        as_int, as_float = tmp_path / "int", tmp_path / "float"
+        assert run_cli("gen", *GEN_ARGS, "--config", str(config), "--out", str(as_int)) == 0
+        assert run_cli("gen", *GEN_ARGS, "--noise-std", "1e20", "--out", str(as_float)) == 0
+        names = sorted(p.name for p in as_int.iterdir())
+        assert names == sorted(p.name for p in as_float.iterdir())
+        for name in names:
+            if name != "manifest.json":
+                assert (as_int / name).read_bytes() == (as_float / name).read_bytes(), name
+        manifest = json.loads((as_int / "manifest.json").read_text())
+        assert type(manifest["spec"]["noise_std"]) is int
+        assert manifest["spec"]["noise_std"] == 10**20
+
 
 def edited(change):
     """Manifest mutation: apply ``change`` in place, then re-serialize."""
@@ -648,6 +686,8 @@ BAD_MANIFESTS = {
     "dataset-spec-string-for-int": ("ds", edited(lambda m: m["spec"].update(num_classes="3"))),
     "dataset-spec-bool-for-int": ("ds", edited(lambda m: m["spec"].update(seed=True))),
     "dataset-spec-null-for-float": ("ds", edited(lambda m: m["spec"].update(noise_std=None))),
+    "dataset-spec-int-too-large-for-float": (
+        "ds", edited(lambda m: m["spec"].update(noise_std=10**400))),
     "checkpoint-config-string-for-int": (
         "checkpoint", edited(lambda m: m["config"].update(layers="4"))),
     "checkpoint-config-bool-for-int": (
@@ -717,12 +757,13 @@ class TestManifestBoundary:
         assert code == 1
         assert err == [f"error: no FTZ file at {tmp_path / which / name}"]
 
-    # each entry but the last three names a copy of the file it replaces,
-    # which the loader used to read
+    # each entry but the last four names a copy of the file it replaces,
+    # which the loader used to read; a NUL byte used to reach stderr raw
     @pytest.mark.parametrize("entry", [
         lambda d, name: str(d / "sub" / name), lambda d, name: f"../{d.name}/{name}",
         lambda d, name: f"sub/{name}", lambda d, name: "", lambda d, name: ".",
-        lambda d, name: ".."], ids=["absolute", "parent", "subdir", "empty", "dot", "dotdot"])
+        lambda d, name: "..", lambda d, name: name[:2] + "\0" + name[2:]],
+        ids=["absolute", "parent", "subdir", "empty", "dot", "dotdot", "nul"])
     @pytest.mark.parametrize("which", ["ds", "checkpoint"])
     def test_entry_outside_its_directory_reports_one_error_line(self, which, entry, trained,
                                                                 tmp_path, capsys):
@@ -741,6 +782,71 @@ class TestManifestBoundary:
         assert capsys.readouterr().err == (
             f"error: {what} manifest entry {entries[key]!r} is not a plain file name\n")
         assert code == 1
+
+    def test_depth_beyond_the_files_stops_at_the_first_missing_name(self, trained, tmp_path,
+                                                                    capsys):
+        # the line used to list every name the config implies: 25 MB at this depth
+        ckpt = tmp_path / "deep"
+        cfg = ModelConfig(image_h=16, image_w=16, patch_size=8, embed_dim=8, layers=4,
+                          heads=2, mlp_dim=16, k=2, num_classes=3)
+        save_checkpoint(FuseVitModel.build(cfg), ckpt)
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        manifest["config"]["layers"] = 100_000
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(trained[0]), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: checkpoint params miss layer.5.ln1.gamma, which the config implies\n"
+        assert len(err.encode()) < 200
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: p.pop("head.0.b"), "checkpoint params miss head.0.b, which the config implies"),
+        (lambda p: p.update({"layer.9.wq": "layer.1.wq.ftz", "layer.3.wk": "layer.1.wk.ftz"}),
+         "checkpoint params name 2 tensor(s) the config does not imply, the first layer.3.wk"),
+    ], ids=["missing", "unknown"])
+    def test_params_off_the_config_name_the_first(self, change, message, trained, tmp_path,
+                                                  capsys):
+        ckpt = shutil.copytree(trained[1], tmp_path / "checkpoint")
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        change(manifest["params"])
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(trained[0]), "--checkpoint", str(ckpt))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("change", [lambda p: p.pop("head.0.b"),
+                                        lambda p: p.update({"layer.9.wq": "layer.1.wq.ftz"})],
+                             ids=["missing", "unknown"])
+    def test_bad_file_earlier_in_the_table_reports_first(self, change, trained, tmp_path,
+                                                         capsys):
+        # the walk reads embed.E before it reaches a missing name, and every
+        # file before it refuses unknown names
+        ckpt = shutil.copytree(trained[1], tmp_path / "checkpoint")
+        manifest = json.loads((ckpt / "manifest.json").read_text())
+        change(manifest["params"])
+        (ckpt / "manifest.json").write_text(json.dumps(manifest))
+        path = ckpt / "embed.E.ftz"
+        path.write_bytes(path.read_bytes()[:-8])
+        capsys.readouterr()
+        code = run_cli("eval", "--dataset", str(trained[0]), "--checkpoint", str(ckpt))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: payload holds"), err
+
+    def test_large_int_noise_std_in_a_spec_evaluates(self, trained, tmp_path, capsys):
+        # 10**20 fits a float: the spec loads, where it used to end in a traceback
+        ds, ckpt = trained
+        edited_ds = shutil.copytree(ds, tmp_path / "ds")
+        manifest = json.loads((edited_ds / "manifest.json").read_text())
+        manifest["spec"]["noise_std"] = 10**20
+        (edited_ds / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run_cli("eval", "--dataset", str(ds), "--checkpoint", str(ckpt)) == 0
+        expected = capsys.readouterr()
+        assert run_cli("eval", "--dataset", str(edited_ds), "--checkpoint", str(ckpt)) == 0
+        assert capsys.readouterr() == expected
 
     @pytest.mark.parametrize("which, name", [("ds", "train_00001.ftz"),
                                              ("checkpoint", "layer.2.mlp.w1.ftz")])

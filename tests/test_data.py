@@ -38,6 +38,13 @@ class TestSynthSpec:
         with pytest.raises(ConfigError):
             small_spec(noise_std=-0.1)
 
+    def test_noise_std_too_large_for_numpy_ints_is_its_float(self):
+        # np.isfinite refused a Python int beyond uint64 with a TypeError
+        as_int = generate_synth(small_spec(noise_std=10**20))
+        as_float = generate_synth(small_spec(noise_std=1e20))
+        assert np.array_equal(as_int.train.images, as_float.train.images)
+        assert np.array_equal(as_int.test.images, as_float.test.images)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigError, match="seed"):
             small_spec(seed=-1)
